@@ -109,7 +109,7 @@ from orthosim.transport import (
     Channel,
     EveHook,
     GbitCarrier,
-    ParticleCarrier,
+    ParticleBlock,
     Permutation,
     Transcript,
     TranscriptRecord,

@@ -1,7 +1,7 @@
 """Eavesdropper strategies and their analytics.
 
 Channel hooks implementing fiducial intercept-resend on gbits, projective
-intercept-resend on quantum particles, and per-particle entangling
+intercept-resend on quantum particle blocks, and per-particle entangling
 probes, plus the closed-form escape probability, perfect-matching
 machinery for pairing attacks on permuted blocks, and exact Holevo
 evaluations of the eavesdropper's information in streaming versus
@@ -28,7 +28,7 @@ from .quantum import (
     reduced_state,
     singlet,
 )
-from .transport import Carrier, EveHook, GbitCarrier, ParticleCarrier
+from .transport import Carrier, EveHook, GbitCarrier, ParticleBlock
 
 __all__ = [
     "AdversaryError",
@@ -167,6 +167,9 @@ class QuantumInterceptResend(EveHook):
     """Projectively measure passing particles and resend the eigenstate.
 
     basis is "Z", "X", or "random" (fresh uniform choice per particle).
+    Each intercepted block adds one (bases, outcomes) pair of arrays to
+    observations; with attack_fraction < 1, each particle is attacked
+    independently with that probability.
     """
 
     strategy = "quantum-intercept-resend"
@@ -180,27 +183,32 @@ class QuantumInterceptResend(EveHook):
         self.basis = basis
         self.rng = rng
         self.attack_fraction = _validate_fraction(attack_fraction)
-        self.observations: list[tuple[str, int]] = []
+        self.observations: list[tuple[np.ndarray, np.ndarray]] = []
+        self.rounds_attacked = 0
 
     def intercept(self, carrier: Carrier) -> Carrier:
         super().intercept(carrier)
-        if not isinstance(carrier, ParticleCarrier):
-            raise AdversaryError("projective intercept-resend needs a particle carrier")
-        if self.attack_fraction < 1.0 and self.rng.random() >= self.attack_fraction:
-            return carrier
-        basis = self.basis
-        if basis == "random":
-            basis = "ZX"[int(self.rng.integers(0, 2))]
-        outcome = carrier.registry.measure(carrier.particle, basis, self.rng)
-        self.observations.append((basis, outcome))
+        if not isinstance(carrier, ParticleBlock):
+            raise AdversaryError("projective intercept-resend needs a particle block")
+        block = carrier
+        if self.attack_fraction < 1.0:
+            block = block.take(self.rng.random(len(block)) < self.attack_fraction)
+        if self.basis == "random":
+            bases = np.array(["Z", "X"])[self.rng.integers(0, 2, size=len(block))]
+        else:
+            bases = np.full(len(block), self.basis)
+        outcomes = block.registry.measure(block.pairs, block.qubits, bases, self.rng)
+        self.observations.append((bases, outcomes))
+        self.rounds_attacked += len(block)
         return carrier
 
 
 class ProbeAttack(EveHook):
     """Entangle a private probe with every passing particle.
 
-    Probes stay in the shared registry under Eve's handles; information
-    extraction happens after the public phase via the Holevo evaluators.
+    Probes stay in the pair engine; probes holds one ParticleBlock of
+    them per intercepted block. Information extraction happens after the
+    public phase via the Holevo evaluators. Draws no randomness.
     """
 
     strategy = "probe"
@@ -208,14 +216,16 @@ class ProbeAttack(EveHook):
     def __init__(self, spec: ProbeAttackSpec) -> None:
         super().__init__()
         self.spec = spec
-        self.probes: list[ParticleCarrier] = []
+        self.probes: list[ParticleBlock] = []
+        self.rounds_attacked = 0
 
     def intercept(self, carrier: Carrier) -> Carrier:
         super().intercept(carrier)
-        if not isinstance(carrier, ParticleCarrier):
-            raise AdversaryError("probe attack needs a particle carrier")
-        probe = carrier.registry.attach_probe(carrier.particle, self.spec)
-        self.probes.append(ParticleCarrier(carrier.registry, probe))
+        if not isinstance(carrier, ParticleBlock):
+            raise AdversaryError("probe attack needs a particle block")
+        taken = carrier.registry.attach_probe(carrier.pairs, carrier.qubits, self.spec)
+        self.probes.append(ParticleBlock(carrier.registry, carrier.pairs, taken))
+        self.rounds_attacked += len(carrier)
         return carrier
 
 
@@ -227,6 +237,19 @@ def matching_count(num_pairs: int) -> int:
     if num_pairs < 0:
         raise AdversaryError("num_pairs must be nonnegative")
     return math.factorial(2 * num_pairs) // (2**num_pairs * math.factorial(num_pairs))
+
+
+def _matching_probability(num_pairs: int) -> float:
+    """1 / matching_count(n) as a float, underflowing to 0.0 for large n.
+
+    Exact while the count fits a float; beyond that it comes from log
+    space, since forming (2n)! gets slow and 1.0 / count overflows.
+    """
+    n = num_pairs
+    log_count = math.lgamma(2 * n + 1) - n * math.log(2.0) - math.lgamma(n + 1)
+    if log_count < 709.0:  # the count fits a float
+        return 1.0 / matching_count(n)
+    return math.exp(-log_count)
 
 
 def perfect_matchings(items: Iterable) -> Iterator[tuple[tuple, ...]]:
@@ -304,7 +327,7 @@ def permutation_attack(
         empirical_detection=None,
         analytic_escape=None,
         eve_information=info,
-        guess_success_analytic=1.0 / matching_count(num_pairs),
+        guess_success_analytic=_matching_probability(num_pairs),
         guess_success_empirical=sum(events) / trials,
     )
 

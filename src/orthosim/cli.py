@@ -57,9 +57,7 @@ __all__ = [
     "BUILTINS",
     "EXPERIMENT_SCHEMA",
     "ExperimentPoint",
-    "ExperimentSpec",
     "main",
-    "run_experiment",
 ]
 
 EXPERIMENT_SCHEMA = "orthosim.experiment/v1"
@@ -129,30 +127,24 @@ class ExperimentPoint:
     seed_base: int
     label: str
 
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A batch of config points plus where and how to write results."""
-
-    points: tuple[ExperimentPoint, ...]
-    output_dir: str
-    stem: str
-
     def __post_init__(self) -> None:
-        for p in self.points:
-            if p.trials < 1:
-                raise ConfigValidationError(
-                    [f"trial count must be >= 1, got {p.trials} for {p.label!r}"]
-                )
-            p.config.ensure_valid()
+        if self.trials < 1:
+            raise ConfigValidationError(
+                [f"trial count must be >= 1, got {self.trials} for {self.label!r}"]
+            )
+        self.config.ensure_valid()
 
 
-def _aggregate_point(point: ExperimentPoint, index: int) -> ResultRow:
+def _run_point(point: ExperimentPoint, index: int) -> list:
     results = [
         run(point.config, seed=derive_seed(point.seed_base, index, t))
         for t in range(point.trials)
     ]
     logger.info("point %s: %d trials done", point.label, point.trials)
+    return results
+
+
+def _aggregate_point(point: ExperimentPoint, results: Sequence) -> ResultRow:
     completed = [r for r in results if r.outcome == "completed"]
     agreement = (
         sum(r.alice_payload == r.bob_payload for r in completed) / len(completed)
@@ -199,14 +191,6 @@ def _write_table(
     meta_path = directory / f"{stem}.meta.json"
     meta_path.write_text(json.dumps(meta_doc, indent=2, sort_keys=True) + "\n")
     return table_path, meta_path
-
-
-def run_experiment(spec: ExperimentSpec, meta: Optional[dict] = None) -> tuple[Path, Path]:
-    """Run every point and write the aggregate table plus sidecar."""
-    rows = [_aggregate_point(p, i) for i, p in enumerate(spec.points)]
-    base = {"seed_base": spec.points[0].seed_base if spec.points else None}
-    base.update(meta or {})
-    return _write_table(rows, spec.output_dir, spec.stem, base)
 
 
 # ---------------------------------------------------------------- built-ins
@@ -281,19 +265,14 @@ def _builtin_pairing_guess(trials: int, seed: int) -> list[ResultRow]:
 
 
 def _builtin_baseline_agreement(trials: int, seed: int) -> list[ResultRow]:
-    points = [
+    configs = [
         ProtocolConfig(kind="glt2s", fiducial=FiducialSpec(2, 2), num_gbits=40),
         ProtocolConfig(kind="stream-qkd", block_size=20),
         ProtocolConfig(kind="pop-qsdc", block_size=4,
                        message_bits=(1, 0, 1, 1, 0, 0, 1, 0)),
     ]
-    spec = ExperimentSpec(
-        points=tuple(
-            ExperimentPoint(cfg, trials, seed, cfg.kind) for cfg in points
-        ),
-        output_dir=".", stem="unused",
-    )
-    return [_aggregate_point(p, i) for i, p in enumerate(spec.points)]
+    points = [ExperimentPoint(cfg, trials, seed, cfg.kind) for cfg in configs]
+    return [_aggregate_point(p, _run_point(p, i)) for i, p in enumerate(points)]
 
 
 BUILTINS: dict[str, tuple[str, int, Callable[[int, int], list[ResultRow]]]] = {
@@ -340,13 +319,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else config.seed
     trials = args.trials if args.trials is not None else 1
     stem = Path(args.config).stem
-    spec = ExperimentSpec(
-        points=(ExperimentPoint(config, trials, seed, stem),),
-        output_dir=args.out, stem=stem,
-    )
-    run_experiment(spec, {"config_digest": config_digest(config), "trials": trials})
-    if trials == 1:
-        result = run(config, seed=derive_seed(seed, 0, 0))
+    point = ExperimentPoint(config, trials, seed, stem)
+    results = _run_point(point, 0)
+    _write_table([_aggregate_point(point, results)], args.out, stem, {
+        "seed_base": seed, "config_digest": config_digest(config), "trials": trials,
+    })
+    if trials == 1:  # the table's one run is also the full run document
+        result = results[0]
         doc_path = Path(args.out) / f"{stem}.result.json"
         doc_path.write_text(
             json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -118,8 +118,9 @@ class AdversarySpec:
     kind selects the strategy; basis applies to quantum intercept-resend,
     theta to the probe family, attack_fraction to the intercept
     strategies (probability of attacking each passing carrier), and
-    guess_pairing asks a block-protocol adversary to also guess the
-    hidden pairing.
+    guess_pairing asks a pop-qsdc adversary to also guess the hidden
+    pairing. A field set away from its default where it does not apply
+    is a diagnostic, never silently ignored.
     """
 
     kind: str
@@ -138,6 +139,20 @@ class AdversarySpec:
             out.append(f"probe theta must lie in [0, pi/2], got {self.theta}")
         if not 0.0 <= self.attack_fraction <= 1.0:
             out.append(f"attack_fraction out of [0, 1]: {self.attack_fraction}")
+        if self.kind == "probe" and self.attack_fraction != 1.0:
+            out.append(
+                "attack_fraction does not apply to the probe adversary, which probes"
+                f" every particle; got {self.attack_fraction}"
+            )
+        if self.kind != "probe" and self.theta != 0.0:
+            out.append(
+                f"theta applies only to the probe adversary, got {self.theta} on {self.kind!r}"
+            )
+        if self.kind != "quantum-intercept-resend" and self.basis != "random":
+            out.append(
+                f"basis applies only to quantum-intercept-resend,"
+                f" got {self.basis!r} on {self.kind!r}"
+            )
         return out
 
 
@@ -178,6 +193,8 @@ class ProtocolConfig:
             out.append(f"payload_role must be message or key, got {self.payload_role!r}")
         if self.adversary is not None:
             out.extend(self.adversary.diagnostics())
+            if self.adversary.guess_pairing and self.kind != "pop-qsdc":
+                out.append(f"guess_pairing applies only to pop-qsdc, not {self.kind}")
         if self.noise is not None:
             out.extend(self.noise.diagnostics())
         if self.kind == "glt2s":

@@ -178,14 +178,24 @@ def mix(states: Sequence[GptState], weights: Sequence[float]) -> GptState:
         raise GptValidationError(
             f"weights sum to {math.fsum(ws)!r}, not 1 within {WEIGHT_SUM_TOL}"
         )
+    # weights summing to 1 within tolerance can push an entry just past
+    # [0, 1], e.g. to 1.0000000000000002; clamp such rounding back in
     rows = tuple(
         tuple(
-            math.fsum(w * s.probs[mu][alpha] for w, s in zip(ws, states))
+            _clamp_unit(math.fsum(w * s.probs[mu][alpha] for w, s in zip(ws, states)))
             for alpha in range(spec.num_outcomes)
         )
         for mu in range(spec.num_fiducials)
     )
     return GptState(spec, rows)
+
+
+def _clamp_unit(p: float) -> float:
+    if -ROW_SUM_TOL <= p < 0.0:
+        return 0.0
+    if 1.0 < p <= 1.0 + ROW_SUM_TOL:
+        return 1.0
+    return p
 
 
 def embed_qubit(eigenstate: str) -> GptState:

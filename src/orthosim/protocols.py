@@ -54,7 +54,7 @@ from .transport import (
     Channel,
     EveHook,
     GbitCarrier,
-    ParticleCarrier,
+    ParticleBlock,
     Permutation,
     Transcript,
 )
@@ -77,9 +77,6 @@ __all__ = [
 
 RESULT_SCHEMA = "orthosim.run-result/v1"
 
-# dense-coding operator per 2-bit message, applied to one half of a singlet
-_DENSE_PAULI = {(0, 0): "I", (0, 1): "X", (1, 0): "Z", (1, 1): "XZ"}
-
 # Bell outcome back to the message bits that produce it from a singlet
 _BELL_DECODE = {
     BellOutcome.PSI_MINUS: (0, 0),
@@ -87,6 +84,7 @@ _BELL_DECODE = {
     BellOutcome.PSI_PLUS: (1, 0),
     BellOutcome.PHI_PLUS: (1, 1),
 }
+_BELL_BITS = np.array([_BELL_DECODE[BellOutcome(k)] for k in range(4)], dtype=np.int64)
 
 
 class ProtocolError(ValueError):
@@ -378,13 +376,21 @@ def glt_escape_trials(
 # ---------------------------------------------------------------- streaming QKD
 
 
+def _dense_encode(registry: QuantumRegistry, pairs: np.ndarray, bits: np.ndarray) -> None:
+    # bits (b0, b1) per pair select I/X/Z/XZ = X^b1 Z^b0 on half 0
+    registry.apply_pauli(pairs, 0, x=bits[:, 1], z=bits[:, 0])
+
+
 def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunResult:
     """Deterministic Bell-pair QKD with sequential particle streaming.
 
     Per round Alice dense-encodes two fresh key bits on one half of a
     singlet and streams both halves one particle at a time with the
     pairing public; Bob Bell-measures and decodes. A public comparison
-    on a fraction of rounds estimates the per-bit error rate.
+    on a fraction of rounds estimates the per-bit error rate. The rounds
+    run as one block: pairs are independent, so the stream (half 0 then
+    half 1 of each pair, in round order) goes through the channel in a
+    single send with one transcript record per particle.
     """
     config.ensure_valid()
     if config.kind != "stream-qkd":
@@ -395,63 +401,42 @@ def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunRes
     registry = QuantumRegistry()
     rounds = config.block_size
 
-    alice_bits: list[tuple[int, int]] = []
-    bob_bits: list[tuple[int, int]] = []
-    for _ in range(rounds):
-        pair = registry.allocate(singlet())
-        bits = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-        alice_bits.append(bits)
-        registry.apply_pauli(pair[0], _DENSE_PAULI[bits])
-        sent_first = channel.send_block(
-            [ParticleCarrier(registry, pair[0])], Permutation.identity(1)
-        )
-        sent_second = channel.send_block(
-            [ParticleCarrier(registry, pair[1])], Permutation.identity(1)
-        )
-        outcome = registry.bell_measure(
-            sent_first[0].particle, sent_second[0].particle, rng
-        )
-        bob_bits.append(decode_bell_bits(outcome))
+    pairs = registry.allocate(singlet(), rounds)
+    alice_bits = rng.integers(0, 2, size=(rounds, 2))
+    _dense_encode(registry, pairs, alice_bits)
+    stream = ParticleBlock(registry, np.repeat(pairs, 2), np.tile([0, 1], rounds))
+    channel.send_block(stream, None, stream=True)
+    bob_bits = _BELL_BITS[registry.bell_measure(pairs, rng)]
 
     num_checks = round(config.check_fraction * rounds)
-    check_rounds = sorted(
-        int(c) for c in rng.choice(rounds, size=num_checks, replace=False)
-    )
-    channel.broadcast(check_rounds, "alice", f"check rounds n={num_checks}")
+    check_rounds = np.sort(rng.choice(rounds, size=num_checks, replace=False))
+    channel.broadcast(check_rounds.tolist(), "alice", f"check rounds n={num_checks}")
     channel.broadcast(
-        [bob_bits[c] for c in check_rounds], "bob", f"check bits n={num_checks}"
+        bob_bits[check_rounds].tolist(), "bob", f"check bits n={num_checks}"
     )
-    events = tuple(bob_bits[c] != alice_bits[c] for c in check_rounds)
-    wrong_bits = sum(
-        (alice_bits[c][0] != bob_bits[c][0]) + (alice_bits[c][1] != bob_bits[c][1])
-        for c in check_rounds
-    )
-    error_rate = wrong_bits / (2 * num_checks)
+    wrong = alice_bits[check_rounds] != bob_bits[check_rounds]
+    events = tuple(wrong.any(axis=1).tolist())
+    error_rate = int(wrong.sum()) / (2 * num_checks)
     aborted = error_rate > config.threshold
 
-    check_set = set(check_rounds)
     if aborted:
         alice_key = bob_key = ()
     else:
-        alice_key = tuple(
-            b for i in range(rounds) if i not in check_set for b in alice_bits[i]
-        )
-        bob_key = tuple(
-            b for i in range(rounds) if i not in check_set for b in bob_bits[i]
-        )
+        kept = np.ones(rounds, dtype=bool)
+        kept[check_rounds] = False
+        alice_key = tuple(alice_bits[kept].ravel().tolist())
+        bob_key = tuple(bob_bits[kept].ravel().tolist())
 
     report = None
     eve_info: Optional[float] = 0.0
     if hook is not None:
         if isinstance(hook, ProbeAttack):
-            attacked = len(hook.probes)
             eve_info = stream_eve_information(hook.spec.theta) / 2.0
         else:
-            attacked = len(hook.observations)
             eve_info = None  # no closed form tracked for intercept-resend
         report = AttackReport(
             strategy=hook.strategy,
-            rounds_attacked=attacked,
+            rounds_attacked=hook.rounds_attacked,
             detection_events=events,
             empirical_detection=_mean(events),
             eve_information=eve_info,
@@ -483,6 +468,13 @@ def _majority(bits: Sequence[int]) -> int:
     return int(sum(bits) * 2 > len(bits))
 
 
+def _bell_check(registry, pairs, compared, rng) -> tuple[np.ndarray, int]:
+    """Bell-measure pairs that should still be singlets; returns the
+    detection event of each compared pair and their count of wrong bits."""
+    bits = _BELL_BITS[registry.bell_measure(pairs, rng)][np.isin(pairs, compared)]
+    return bits.any(axis=1), int(bits.sum())
+
+
 def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResult:
     """Permutation-of-particles direct communication over singlets.
 
@@ -511,45 +503,30 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
     message = config.message_bits
     code_len = repetition_length(config.threshold)
 
-    pairs = [registry.allocate(singlet()) for _ in range(total)]
-    check_pairs = sorted(int(p) for p in rng.choice(total, size=n_pairs, replace=False))
-    check_set = set(check_pairs)
-    retained = [p for p in range(total) if p not in check_set]
+    pairs = registry.allocate(singlet(), total)
+    check_pairs = np.sort(rng.choice(total, size=n_pairs, replace=False))
+    is_check = np.zeros(total, dtype=bool)
+    is_check[check_pairs] = True
+    retained = np.flatnonzero(~is_check)
 
     # canonical block-1 layout: both halves of check pairs, far half otherwise
-    block1: list[ParticleCarrier] = []
-    origin: list[tuple[int, int]] = []
-    for p in range(total):
-        if p in check_set:
-            block1.append(ParticleCarrier(registry, pairs[p][0]))
-            origin.append((p, 0))
-        block1.append(ParticleCarrier(registry, pairs[p][1]))
-        origin.append((p, 1))
-    scramble = Permutation.random(len(block1), rng)
-    delivered = channel.send_block(block1, scramble, sender="alice")
-    inverse = scramble.inverse().mapping
-    position_of = {origin[s]: inverse[s] for s in range(len(block1))}
+    origin_pairs = np.repeat(pairs, 1 + is_check)
+    first_of_pair = np.diff(origin_pairs, prepend=-1) != 0
+    origin_halves = np.where(first_of_pair & is_check[origin_pairs], 0, 1)
+    block1 = ParticleBlock(registry, origin_pairs, origin_halves)
+    scramble = rng.permutation(len(block1))
+    channel.send_block(block1, scramble, sender="alice")
+    # block-1 delivery position of each (pair, half) sent in it, else -1
+    position = np.full((total, 2), -1, dtype=np.intp)
+    position[origin_pairs[scramble], origin_halves[scramble]] = np.arange(len(block1))
 
     # (c) first check: reveal check-pair positions, Bell-check a fraction
     num_compared = round(config.check_fraction * n_pairs)
-    compared = set(
-        int(check_pairs[i])
-        for i in rng.choice(n_pairs, size=num_compared, replace=False)
-    )
-    reveal = {p: (position_of[(p, 0)], position_of[(p, 1)]) for p in check_pairs}
+    compared = check_pairs[rng.choice(n_pairs, size=num_compared, replace=False)]
+    reveal = dict(zip(check_pairs.tolist(), map(tuple, position[check_pairs].tolist())))
     channel.broadcast(reveal, "alice", f"check-pair reveal n={n_pairs}")
-    events_first = []
-    wrong_first = 0
-    for p in check_pairs:
-        pos0, pos1 = reveal[p]
-        outcome = registry.bell_measure(
-            delivered[pos0].particle, delivered[pos1].particle, rng
-        )
-        bits = decode_bell_bits(outcome)
-        if p in compared:
-            events_first.append(bits != (0, 0))
-            wrong_first += bits[0] + bits[1]
-    channel.broadcast(sorted(compared), "bob", f"compared checks n={num_compared}")
+    events_first, wrong_first = _bell_check(registry, check_pairs, compared, rng)
+    channel.broadcast(np.sort(compared).tolist(), "bob", f"compared checks n={num_compared}")
     error_first = wrong_first / (2 * num_compared)
 
     def finish(outcome_kind, alice_payload, bob_payload, events, error_second=None):
@@ -557,29 +534,28 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
         eve_info = 0.0
         if hook is not None:
             if isinstance(hook, ProbeAttack):
-                attacked = len(hook.probes)
                 eve_info = (
                     pop_eve_information(hook.spec.theta, n_pairs) / 2.0
                     if n_pairs <= _POP_ENUMERATION_LIMIT
                     else None
                 )
             else:
-                attacked = len(hook.observations)
                 eve_info = None
             report = AttackReport(
                 strategy=hook.strategy,
-                rounds_attacked=attacked,
-                detection_events=tuple(events),
+                rounds_attacked=hook.rounds_attacked,
+                detection_events=events,
                 empirical_detection=_mean(events),
                 eve_information=eve_info,
             )
             if config.adversary.guess_pairing and outcome_kind == "completed":
-                truth = [
-                    (position_of[(p, 1)], len(block1) + retained.index(p))
-                    for p in message_pairs
-                ]
+                # message pair p: half 1 in block 1, half 0 at its retained index
+                truth = zip(
+                    position[message_pairs, 1].tolist(),
+                    (len(block1) + message_index).tolist(),
+                )
                 guess = permutation_attack(
-                    truth,
+                    list(truth),
                     rng_eve,
                     trials=1,
                     theta=hook.spec.theta if isinstance(hook, ProbeAttack) else None,
@@ -605,7 +581,7 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
             threshold=config.threshold,
             alice_payload=alice_payload,
             bob_payload=bob_payload,
-            detection_events=tuple(events),
+            detection_events=events,
             transcript=channel.transcript,
             verdict=verdict,
             attack_report=report,
@@ -613,66 +589,46 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
             security_class=protocol_class(config),
         )
 
-    message_pairs: list[int] = []
     if error_first > config.threshold:
-        return finish("aborted", (), (), events_first)
+        return finish("aborted", (), (), tuple(events_first.tolist()))
 
     # (d) repetition-code the message and dense-encode on N retained halves
-    coded = [b for bit in message for b in (bit,) * code_len]
-    coded.extend([0] * (2 * n_pairs - len(coded)))
-    message_pairs = sorted(
-        int(retained[i]) for i in rng.choice(len(retained), size=n_pairs, replace=False)
-    )
-    second_pairs = [p for p in retained if p not in set(message_pairs)]
-    for slot, p in enumerate(message_pairs):
-        two = (coded[2 * slot], coded[2 * slot + 1])
-        registry.apply_pauli(pairs[p][0], _DENSE_PAULI[two])
-    block2 = [ParticleCarrier(registry, pairs[p][0]) for p in retained]
-    block2_index = {p: i for i, p in enumerate(retained)}
-    delivered2 = channel.send_block(
-        block2, Permutation.identity(len(block2)), sender="alice"
-    )
+    coded = np.zeros(2 * n_pairs, dtype=np.int64)
+    coded[: code_len * len(message)] = np.repeat(message, code_len)
+    message_pairs = np.sort(retained[rng.choice(retained.size, size=n_pairs, replace=False)])
+    second_pairs = np.setdiff1d(retained, message_pairs, assume_unique=True)
+    message_index = np.searchsorted(retained, message_pairs)  # position in block 2
+    _dense_encode(registry, message_pairs, coded.reshape(n_pairs, 2))
+    block2 = ParticleBlock(registry, retained, 0)
+    channel.send_block(block2, None, sender="alice")
+    block2_index = np.searchsorted(retained, second_pairs)
 
     # (e) second check on the untouched pairs, then message reveal
-    compared2 = set(
-        int(second_pairs[i])
-        for i in rng.choice(len(second_pairs), size=num_compared, replace=False)
-    )
-    reveal2 = {p: (position_of[(p, 1)], block2_index[p]) for p in second_pairs}
-    channel.broadcast(reveal2, "alice", f"second-check reveal n={len(second_pairs)}")
-    events_second = []
-    wrong_second = 0
-    for p in second_pairs:
-        pos1, idx2 = reveal2[p]
-        outcome = registry.bell_measure(
-            delivered[pos1].particle, delivered2[idx2].particle, rng
-        )
-        bits = decode_bell_bits(outcome)
-        if p in compared2:
-            events_second.append(bits != (0, 0))
-            wrong_second += bits[0] + bits[1]
+    compared2 = second_pairs[rng.choice(second_pairs.size, size=num_compared, replace=False)]
+    reveal2 = dict(zip(
+        second_pairs.tolist(), zip(position[second_pairs, 1].tolist(), block2_index.tolist())
+    ))
+    channel.broadcast(reveal2, "alice", f"second-check reveal n={second_pairs.size}")
+    events_second, wrong_second = _bell_check(registry, second_pairs, compared2, rng)
     error_second = wrong_second / (2 * num_compared)
-    events = list(events_first) + events_second
+    events = tuple(events_first.tolist() + events_second.tolist())
     if error_second > max(error_first, config.threshold):
         return finish("aborted", (), (), events, error_second)
 
-    reveal3 = {
-        p: (position_of[(p, 1)], block2_index[p], slot)
-        for slot, p in enumerate(message_pairs)
-    }
+    reveal3 = dict(zip(
+        message_pairs.tolist(),
+        zip(
+            position[message_pairs, 1].tolist(),
+            message_index.tolist(),
+            range(n_pairs),
+        ),
+    ))
     channel.broadcast(
         {"pairs": reveal3, "repetition": code_len, "length": len(message)},
         "alice",
-        f"message reveal n={len(message_pairs)} r={code_len}",
+        f"message reveal n={n_pairs} r={code_len}",
     )
-    decoded_stream = [0] * (2 * n_pairs)
-    for p, (pos1, idx2, slot) in reveal3.items():
-        outcome = registry.bell_measure(
-            delivered[pos1].particle, delivered2[idx2].particle, rng
-        )
-        bits = decode_bell_bits(outcome)
-        decoded_stream[2 * slot] = bits[0]
-        decoded_stream[2 * slot + 1] = bits[1]
+    decoded_stream = _BELL_BITS[registry.bell_measure(message_pairs, rng)].ravel().tolist()
     bob_message = tuple(
         _majority(decoded_stream[i * code_len : (i + 1) * code_len])
         for i in range(len(message))

@@ -2,14 +2,12 @@
 
 Amplitude index ``i`` encodes qubit ``q`` in bit ``(i >> q) & 1``, so qubit
 0 is the least significant bit.  Everything here is dense and exact, which
-is why register sizes are capped at ``MAX_QUBITS``; the protocol layer
-keeps entangled groups in separate small registers so the cap is never a
-constraint in practice.
+is why register sizes are capped at ``MAX_QUBITS``.
 
 Also houses the Bell-pair toolbox (singlet preparation, dense coding, Bell
 projection), the probe-interaction family used by eavesdropping models,
-memoryless noise channels, and a :class:`QuantumRegistry` that tracks many
-independent registers and the particles living in them.
+memoryless noise channels, and :class:`QuantumRegistry`, the batched pair
+engine that holds every pair of a protocol run in one array.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -518,140 +516,213 @@ def probe_interact(system: StateVector, spec: ProbeAttackSpec, system_qubit: int
     return StateVector(out)
 
 
-# --------------------------------------------------------------- registry
+# --------------------------------------------------------------- pair engine
+
+
+# (X, Z) exponents of each Pauli, applied as X^x Z^z; Y is XZ up to the
+# global phase i, which no measurement sees
+_PAULI_BITS = ((PAULI_I, 0, 0), (PAULI_X, 1, 0), (PAULI_Y, 1, 1), (PAULI_Z, 0, 1))
+
+_PAIR_QUBITS_MAX = 4  # two halves plus one probe on each
 
 
 class QuantumRegistry:
-    """Bookkeeping for many independent registers.
+    """Batched pair engine: every pair of a run in one amplitude array.
 
-    Particles are integer handles; each lives at a fixed qubit slot of
-    some register.  Registers grow when probes attach and merge when a
-    joint measurement spans two of them, and every register stays within
-    the MAX_QUBITS guard.
+    The array has shape ``(pairs, 2, ..., 2)``, one axis per qubit in the
+    little-endian order of this module: qubits 0 and 1 are the two halves
+    of every pair (the last two axes) and probes are the higher qubits.
+    A probe attach takes the pair's next free probe qubit, 2 and then 3
+    (within one call, half-0 particles before half-1 ones); the array
+    gains an axis when the first pair needs one, and pairs that never use
+    it hold ``|0>`` there.  Registers never span pairs.
+
+    Operations take index arrays, ``pairs`` and the ``qubits`` hit in
+    each (a scalar broadcasts), so one call acts on a whole block; a
+    (pair, qubit) may appear at most once per call.
     """
 
     def __init__(self) -> None:
-        self._vectors: dict[int, np.ndarray] = {}
-        self._sizes: dict[int, int] = {}
-        self._loc: dict[int, tuple[int, int]] = {}
-        self._next_register = 0
-        self._next_particle = 0
+        self._amps = np.zeros((0, 2, 2), dtype=complex)
+        self._probes = np.zeros(0, dtype=np.int8)  # probes attached per pair
 
-    def allocate(self, state: StateVector) -> list[int]:
-        """Add a register in ``state``; returns one particle id per qubit,
-        index-aligned with the state's qubits."""
-        reg = self._next_register
-        self._next_register += 1
-        self._vectors[reg] = np.array(state.amplitudes, dtype=complex)
-        self._sizes[reg] = state.num_qubits
-        ids = []
-        for q in range(state.num_qubits):
-            pid = self._next_particle
-            self._next_particle += 1
-            self._loc[pid] = (reg, q)
-            ids.append(pid)
-        return ids
+    @property
+    def num_pairs(self) -> int:
+        return self._amps.shape[0]
 
-    def _where(self, particle: int) -> tuple[int, int]:
-        try:
-            return self._loc[particle]
-        except KeyError:
-            raise QuantumValidationError(f"unknown particle id {particle}") from None
+    @property
+    def num_qubits(self) -> int:
+        return self._amps.ndim - 1
 
-    def register_size(self, particle: int) -> int:
-        reg, _ = self._where(particle)
-        return self._sizes[reg]
+    def _axis(self, qubit: int) -> int:
+        return self._amps.ndim - 1 - qubit
 
-    def state_vector(self, particle: int) -> StateVector:
-        """Copy of the whole register holding ``particle``."""
-        reg, _ = self._where(particle)
-        return StateVector(self._vectors[reg].copy())
+    def allocate(self, state: StateVector, count: int = 1) -> np.ndarray:
+        """Add ``count`` pairs, each in the two-qubit ``state``; returns
+        their pair indices."""
+        if state.num_qubits != 2:
+            raise QuantumValidationError("the pair engine allocates two-qubit states")
+        if count < 1:
+            raise QuantumValidationError(f"count must be positive, got {count}")
+        block = np.zeros((count,) + self._amps.shape[1:], dtype=complex)
+        block[(slice(None),) + (0,) * (self.num_qubits - 2)] = state.amplitudes.reshape(2, 2)
+        first = self.num_pairs
+        self._amps = np.concatenate([self._amps, block])
+        self._probes = np.concatenate([self._probes, np.zeros(count, dtype=np.int8)])
+        return np.arange(first, first + count)
 
-    def qubit_of(self, particle: int) -> int:
-        return self._where(particle)[1]
+    def _pairs(self, pairs) -> np.ndarray:
+        """Validated pair indices, each at most once."""
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= self.num_pairs):
+            raise QuantumValidationError(f"pair index outside [0, {self.num_pairs})")
+        if np.bincount(pairs, minlength=1).max() > 1:
+            raise QuantumValidationError("a particle appears twice in one call")
+        return pairs
 
-    def apply_gate(self, particle: int, gate: np.ndarray) -> None:
-        reg, q = self._where(particle)
-        self._vectors[reg] = _apply_gate_vec(self._vectors[reg], gate, [q])
+    def _groups(self, pairs, qubits) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """Split a call's particles by qubit: (qubit, positions in the
+        call, pair indices)."""
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
+        qubits = np.broadcast_to(np.asarray(qubits, dtype=np.intp), pairs.shape)
+        if pairs.size and (qubits.min() < 0 or qubits.max() >= self.num_qubits):
+            raise QuantumValidationError(f"qubit index outside [0, {self.num_qubits})")
+        groups = []
+        for qubit in range(self.num_qubits):
+            where = np.flatnonzero(qubits == qubit)
+            if where.size:
+                groups.append((qubit, where, self._pairs(pairs[where])))
+        return groups
 
-    def apply_pauli(self, particle: int, name: str) -> None:
-        ops = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z,
-               "XZ": PAULI_X @ PAULI_Z}
-        if name not in ops:
-            raise QuantumValidationError(f"unknown Pauli label {name!r}")
-        if name != "I":
-            self.apply_gate(particle, ops[name])
+    def state_vector(self, pair: int) -> StateVector:
+        """Copy of one pair's register, probes included."""
+        if not 0 <= pair < self.num_pairs:
+            raise QuantumValidationError(f"unknown pair {pair}")
+        return StateVector(self._amps[pair].reshape(-1).copy())
 
-    def measure(self, particle: int, basis: str, rng) -> int:
-        reg, q = self._where(particle)
-        outcome, post = _project_qubit(self._vectors[reg], q, basis, rng)
-        self._vectors[reg] = post
-        return outcome
+    def reduced_density(self, pair: int, qubits: Sequence[int]) -> DensityMatrix:
+        """Reduced state of some qubits of one pair, with output qubit
+        ``j`` holding ``qubits[j]``."""
+        ascending = reduced_state(self.state_vector(pair), qubits)
+        order = sorted(qubits)
+        return permute_qubits(ascending, [order.index(q) for q in qubits])
 
-    def _merge(self, reg_a: int, reg_b: int) -> None:
-        if reg_a == reg_b:
-            return
-        na, nb = self._sizes[reg_a], self._sizes[reg_b]
-        if na + nb > MAX_QUBITS:
-            raise ResourceLimitError(
-                f"merge would create a {na + nb}-qubit register (cap {MAX_QUBITS})"
+    def apply_pauli(self, pairs, qubits, x, z) -> None:
+        """Apply X^x Z^z (Z first) to each listed qubit, with 0/1
+        exponents per particle.  Dense coding of the bits (b0, b1) is
+        (x, z) = (b1, b0) on a pair's half 0."""
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
+        x = np.broadcast_to(np.asarray(x, dtype=bool), pairs.shape)
+        z = np.broadcast_to(np.asarray(z, dtype=bool), pairs.shape)
+        for qubit, where, group in self._groups(pairs, qubits):
+            xs, zs = x[where], z[where]
+            if not (xs.any() or zs.any()):
+                continue
+            sub = self._amps[group]
+            bit = np.moveaxis(sub, self._axis(qubit), -1)  # view: last axis is the qubit
+            bit[zs, ..., 1] *= -1.0
+            bit[xs] = bit[xs][..., ::-1]
+            self._amps[group] = sub
+
+    def apply_noise(self, pairs, qubits, channel: NoiseChannel, rng) -> None:
+        """One stochastic trajectory of the channel on each listed qubit:
+        a random Pauli drawn with the channel's mixture weights."""
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
+        qubits = np.broadcast_to(np.asarray(qubits, dtype=np.intp), pairs.shape)
+        mixture = channel.pauli_mixture()
+        # past the last cumulative weight (rounding) draws the identity
+        bits = [next((x, z) for op, x, z in _PAULI_BITS if op is m) for _, m in mixture]
+        table = np.array(bits + [(0, 0)], dtype=bool)
+        cumulative = np.cumsum([w for w, _ in mixture])
+        branch = (rng.random(pairs.size)[:, None] >= cumulative).sum(axis=1)
+        hit = np.flatnonzero(table[branch].any(axis=1))
+        self.apply_pauli(pairs[hit], qubits[hit], table[branch[hit], 0], table[branch[hit], 1])
+
+    def measure(self, pairs, qubits, bases, rng) -> np.ndarray:
+        """Projective measurement of each listed qubit in its basis, "Z"
+        or "X" (X outcome 0 is the +1 eigenstate); returns the outcomes
+        and leaves each qubit in the observed eigenstate."""
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
+        bases = np.broadcast_to(np.asarray(bases), pairs.shape)
+        if not np.isin(bases, ("Z", "X")).all():
+            raise QuantumValidationError(f"bases must be 'Z' or 'X', got {np.unique(bases)}")
+        draws = rng.random(pairs.size)
+        outcomes = np.empty(pairs.size, dtype=np.int8)
+        for qubit, where, group in self._groups(pairs, qubits):
+            sub = self._amps[group]
+            bit = np.moveaxis(sub, self._axis(qubit), -1)
+            in_x = bases[where] == "X"
+            bit[in_x] = bit[in_x] @ HADAMARD  # X-basis coefficients
+            weight = (np.abs(bit) ** 2).reshape(group.size, -1, 2).sum(axis=1)
+            seen = (draws[where] >= weight[:, 0] / weight.sum(axis=1)).astype(np.int8)
+            rows = np.arange(group.size)
+            bit[rows, ..., 1 - seen] = 0.0
+            bit /= np.sqrt(np.maximum(weight[rows, seen], 1e-300)).reshape(
+                (-1,) + (1,) * (bit.ndim - 1)
             )
-        self._vectors[reg_a] = np.kron(self._vectors[reg_b], self._vectors[reg_a])
-        self._sizes[reg_a] = na + nb
-        for pid, (reg, q) in list(self._loc.items()):
-            if reg == reg_b:
-                self._loc[pid] = (reg_a, q + na)
-        del self._vectors[reg_b], self._sizes[reg_b]
+            bit[in_x] = bit[in_x] @ HADAMARD
+            self._amps[group] = sub
+            outcomes[where] = seen
+        return outcomes
 
-    def bell_measure(self, particle_a: int, particle_b: int, rng) -> BellOutcome:
-        reg_a, _ = self._where(particle_a)
-        reg_b, _ = self._where(particle_b)
-        self._merge(reg_a, reg_b)
-        reg, qa = self._where(particle_a)
-        _, qb = self._where(particle_b)
-        outcome, post = _project_bell(self._vectors[reg], qa, qb, rng)
-        self._vectors[reg] = post
-        return BellOutcome(outcome)
+    def attach_probe(self, pairs, qubits, spec: ProbeAttackSpec) -> np.ndarray:
+        """Entangle a fresh probe with each listed half via the attack
+        unitary; returns the qubit each probe took (2 or 3)."""
+        # the new probe qubit holds |0>: the map from the system's bit c to
+        # the joint (system, probe) output is the gate applied to c and the
+        # probe state, with local index 2*system + probe as in the gate
+        fresh = spec.unitary().reshape(4, 2, 2) @ spec.probe_state.amplitudes
+        taken = np.empty(np.size(pairs), dtype=np.intp)
+        for qubit, where, group in self._groups(pairs, qubits):
+            if qubit > 1:
+                raise QuantumValidationError("probes attach to pair halves, qubits 0 and 1")
+            target = 2 + self._probes[group]
+            if target.max(initial=0) >= _PAIR_QUBITS_MAX:
+                raise ResourceLimitError(
+                    f"a pair register holds at most {_PAIR_QUBITS_MAX} qubits"
+                )
+            for probe in np.unique(target).tolist():
+                if probe == self.num_qubits:  # first pair to need this probe qubit
+                    grown = np.zeros((self.num_pairs, 2) + self._amps.shape[1:], dtype=complex)
+                    grown[:, 0] = self._amps
+                    self._amps = grown
+                mine = target == probe
+                axes = (self._axis(qubit), self._axis(probe))
+                sub = np.moveaxis(self._amps[group[mine]], axes, (-2, -1))
+                joint = (sub[..., 0].reshape(-1, 2) @ fresh.T).reshape(sub.shape)
+                joint = np.moveaxis(joint, (-2, -1), axes)
+                self._amps[group[mine]] = np.ascontiguousarray(joint)
+                taken[where[mine]] = probe
+            self._probes[group] += 1
+        return taken
 
-    def attach_probe(self, particle: int, spec: ProbeAttackSpec) -> int:
-        """Entangle a fresh probe qubit with the particle; returns the
-        probe's particle id."""
-        reg, q = self._where(particle)
-        n = self._sizes[reg]
-        if n + 1 > MAX_QUBITS:
-            raise ResourceLimitError(
-                f"attaching a probe would exceed MAX_QUBITS={MAX_QUBITS}"
-            )
-        joint = np.kron(spec.probe_state.amplitudes, self._vectors[reg])
-        self._vectors[reg] = _apply_gate_vec(joint, spec.unitary(), [q, n])
-        self._sizes[reg] = n + 1
-        probe_id = self._next_particle
-        self._next_particle += 1
-        self._loc[probe_id] = (reg, n)
-        return probe_id
+    def _bell_weights(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bell coefficients, shape (pairs, probe states, 4), and their
+        Born weights, shape (pairs, 4)."""
+        # _BELL_BASIS columns: local index 2*bit0 + bit1, qubit 0 first
+        halves = self._amps[pairs].swapaxes(-1, -2).reshape(-1, 4)
+        coeffs = (halves @ _BELL_BASIS.conj().T).reshape(pairs.size, -1, 4)
+        return coeffs, (np.abs(coeffs) ** 2).sum(axis=1)
 
-    def apply_noise(self, particle: int, channel: NoiseChannel, rng) -> None:
-        """One stochastic trajectory of the channel on this particle."""
-        u = rng.random()
-        acc = 0.0
-        for weight, op in channel.pauli_mixture():
-            acc += weight
-            if u < acc:
-                if op is not PAULI_I:
-                    self.apply_gate(particle, op)
-                return
+    def bell_probabilities(self, pairs) -> np.ndarray:
+        """Born probabilities of the four Bell outcomes on each listed
+        pair's halves, shape (pairs, 4), without measuring."""
+        weight = self._bell_weights(self._pairs(pairs))[1]
+        return weight / weight.sum(axis=1, keepdims=True)
 
-    def reduced_density(self, particles: Sequence[int]) -> DensityMatrix:
-        """Joint reduced state of particles sharing one register, with
-        output qubit ``j`` holding ``particles[j]``."""
-        regs = {self._where(p)[0] for p in particles}
-        if len(regs) != 1:
-            raise QuantumValidationError(
-                "reduced_density needs particles from a single register"
-            )
-        reg = regs.pop()
-        keep = [self._where(p)[1] for p in particles]
-        ascending = reduced_state(StateVector(self._vectors[reg].copy()), keep)
-        order = sorted(keep)
-        perm = [order.index(q) for q in keep]
-        return permute_qubits(ascending, perm)
+    def bell_measure(self, pairs, rng) -> np.ndarray:
+        """Bell-basis measurement of each listed pair's two halves;
+        returns BellOutcome values and collapses the halves onto them."""
+        pairs = self._pairs(pairs)
+        coeffs, weight = self._bell_weights(pairs)
+        probs = weight / weight.sum(axis=1, keepdims=True)
+        draws = rng.random(pairs.size)
+        outcomes = (draws[:, None] >= np.cumsum(probs, axis=1)[:, :3]).sum(axis=1)
+        rows = np.arange(pairs.size)
+        residual = coeffs[rows, :, outcomes] / np.sqrt(
+            np.maximum(weight[rows, outcomes], 1e-300)
+        )[:, None]
+        post = residual[:, :, None] * _BELL_BASIS[outcomes][:, None, :]
+        post = post.reshape((pairs.size,) + self._amps.shape[1:]).swapaxes(-1, -2)
+        self._amps[pairs] = np.ascontiguousarray(post)  # strided scatter is far slower
+        return outcomes

@@ -3,9 +3,8 @@
 An authenticated classical channel (readable but not writable by the
 adversary), a tamperable carrier channel with an adversary interposition
 hook, permuted block transmission, and line-oriented transcript logging.
-Carriers are either gbit values or handles into a shared quantum
-registry; quantum handles are consumed on transmission so a particle
-cannot be sent twice.
+Carriers are either gbit values, sent as a list, or a block of pair
+halves addressed by index arrays into one batched pair engine.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ __all__ = [
     "Channel",
     "EveHook",
     "GbitCarrier",
-    "ParticleCarrier",
+    "ParticleBlock",
     "Permutation",
     "Transcript",
     "TranscriptRecord",
@@ -140,14 +139,35 @@ class GbitCarrier:
 
 
 @dataclass(frozen=True)
-class ParticleCarrier:
-    """A quantum particle in transit, carried as a registry handle."""
+class ParticleBlock:
+    """Quantum particles in transit, as index arrays into a pair engine.
+
+    Particle ``i`` is qubit ``qubits[i]`` of pair ``pairs[i]`` in
+    ``registry``; qubits 0 and 1 are a pair's halves, 2 and 3 its probes.
+    """
 
     registry: QuantumRegistry
-    particle: int
+    pairs: np.ndarray
+    qubits: np.ndarray
+
+    def __post_init__(self) -> None:
+        pairs = np.asarray(self.pairs, dtype=np.intp).reshape(-1)
+        qubits = np.broadcast_to(np.asarray(self.qubits, dtype=np.intp), pairs.shape)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "qubits", qubits)
+
+    def __len__(self) -> int:
+        return self.pairs.size
+
+    def take(self, index) -> "ParticleBlock":
+        """The particles at ``index`` (gather semantics, or a mask)."""
+        return ParticleBlock(self.registry, self.pairs[index], self.qubits[index])
 
 
-Carrier = Union[GbitCarrier, ParticleCarrier]
+Carrier = Union[GbitCarrier, ParticleBlock]
+
+# transcript label of a quantum particle, stable across engine designs
+_PARTICLE_KIND = "ParticleCarrier"
 
 
 # ---------------------------------------------------------------- adversary hook
@@ -156,10 +176,11 @@ Carrier = Union[GbitCarrier, ParticleCarrier]
 class EveHook:
     """Adversary interposition point on the carrier channel.
 
-    The channel hands over each carrier in transit (delivery) order and
-    never exposes the permutation; classical broadcasts are observed
-    read-only. The base class is a transparent wiretap that records its
-    inputs so tests can audit exactly what the adversary saw.
+    The channel hands over each gbit carrier, or each particle block as
+    a whole, in transit (delivery) order and never exposes the
+    permutation; classical broadcasts are observed read-only. The base
+    class is a transparent wiretap that records its inputs so tests can
+    audit exactly what the adversary saw.
     """
 
     def __init__(self) -> None:
@@ -262,48 +283,66 @@ class Channel:
         self.noise_rng = noise_rng
         self.transcript = transcript if transcript is not None else Transcript()
         self._round = 0
-        self._consumed: set[tuple[int, int]] = set()
 
     def _next_round(self) -> int:
         self._round += 1
         return self._round
 
-    def _mark_consumed(self, carrier: Carrier) -> None:
-        if isinstance(carrier, ParticleCarrier):
-            key = (id(carrier.registry), carrier.particle)
-            if key in self._consumed:
-                raise TransportError(f"particle {carrier.particle} was already transmitted")
-            self._consumed.add(key)
-
     def send_block(
-        self, carriers: Sequence[Carrier], perm: Permutation, sender: str = "alice"
-    ) -> list[Carrier]:
-        """Deliver carriers in permuted order through Eve and noise."""
-        if perm.size != len(carriers):
-            raise TransportError(
-                f"permutation size {perm.size} != block size {len(carriers)}"
+        self,
+        carriers: Union[Sequence[GbitCarrier], ParticleBlock],
+        perm: Union[Permutation, np.ndarray, None],
+        sender: str = "alice",
+        stream: bool = False,
+    ) -> Union[list[GbitCarrier], ParticleBlock]:
+        """Deliver carriers in permuted order through Eve and noise.
+
+        Gbits travel as a list under a Permutation.  A ParticleBlock
+        travels whole: perm is a gather index array or None (order
+        kept), and Eve and the noise each act once on the block.  stream=True logs one record per particle, as a stream of
+        one-particle sends, instead of one for the block.
+        """
+        if isinstance(carriers, ParticleBlock):
+            transit = self._send_particles(carriers, perm)
+            kind = _PARTICLE_KIND
+        else:
+            if perm.size != len(carriers):
+                raise TransportError(
+                    f"permutation size {perm.size} != block size {len(carriers)}"
+                )
+            transit = perm.apply(list(carriers))
+            if self.eve_hook is not None:
+                transit = [self.eve_hook.intercept(c) for c in transit]
+            if self.noise is not None and transit:
+                raise TransportError("quantum channel noise cannot act on gbit carriers")
+            kind = ",".join(sorted({type(c).__name__ for c in transit}))
+        count, size = (len(transit), 1) if stream else (1, len(transit))
+        payload = f"block len={size} kinds={kind}"
+        for _ in range(count):
+            self.transcript.append(
+                TranscriptRecord(
+                    self._next_round(), "carrier", sender, payload, self.eve_hook is not None
+                )
             )
-        for carrier in carriers:
-            self._mark_consumed(carrier)
-        transit = perm.apply(list(carriers))
-        if self.eve_hook is not None:
-            transit = [self.eve_hook.intercept(c) for c in transit]
-        if self.noise is not None:
-            for carrier in transit:
-                if isinstance(carrier, GbitCarrier):
-                    raise TransportError("quantum channel noise cannot act on gbit carriers")
-                carrier.registry.apply_noise(carrier.particle, self.noise, self.noise_rng)
-        kinds = sorted({type(c).__name__ for c in transit})
-        self.transcript.append(
-            TranscriptRecord(
-                round_index=self._next_round(),
-                channel="carrier",
-                sender=sender,
-                payload=f"block len={len(transit)} kinds={','.join(kinds)}",
-                tampered=self.eve_hook is not None,
-            )
-        )
         return transit
+
+    def _send_particles(self, block: ParticleBlock, perm) -> ParticleBlock:
+        if perm is not None:
+            index = np.asarray(perm, dtype=np.intp)
+            if index.shape != (len(block),) or not np.array_equal(
+                np.sort(index), np.arange(len(block))
+            ):
+                raise TransportError(
+                    f"perm is not a permutation of the {len(block)}-particle block"
+                )
+            block = block.take(index)
+        if len(block) and np.bincount(block.pairs * 4 + block.qubits).max() > 1:
+            raise TransportError("a particle appears twice in one block")
+        if self.eve_hook is not None:
+            block = self.eve_hook.intercept(block)
+        if self.noise is not None:
+            block.registry.apply_noise(block.pairs, block.qubits, self.noise, self.noise_rng)
+        return block
 
     def broadcast(self, payload: object, sender: str, description: str) -> object:
         """Authenticated classical broadcast; Eve reads, cannot write."""

@@ -29,7 +29,7 @@ from orthosim.quantum import (
     basis_state,
     singlet,
 )
-from orthosim.transport import GbitCarrier, ParticleCarrier
+from orthosim.transport import GbitCarrier, ParticleBlock
 from conftest import assert_frequency
 
 S2 = 1.0 / math.sqrt(2)
@@ -156,10 +156,10 @@ def test_glt_intercept_disturbance_pattern():
 
 def test_glt_intercept_rejects_particles():
     reg = QuantumRegistry()
-    ids = reg.allocate(singlet())
+    pairs = reg.allocate(singlet())
     hook = GltInterceptResend(np.random.default_rng(0))
     with pytest.raises(AdversaryError):
-        hook.intercept(ParticleCarrier(reg, ids[0]))
+        hook.intercept(ParticleBlock(reg, pairs, 0))
 
 
 def test_detection_decomposition():
@@ -189,24 +189,23 @@ def test_quantum_intercept_transparent_on_z_eigenstates():
     hook = QuantumInterceptResend("Z", rng)
     for bit in (0, 1):
         reg = QuantumRegistry()
-        pid = reg.allocate(basis_state(1, bit))[0]
-        hook.intercept(ParticleCarrier(reg, pid))
-        assert hook.observations[-1] == ("Z", bit)
-        expected = np.zeros(2)
+        pairs = reg.allocate(basis_state(2, bit))  # half 0 holds bit, half 1 holds 0
+        hook.intercept(ParticleBlock(reg, pairs, 0))
+        bases, outcomes = hook.observations[-1]
+        assert list(zip(bases.tolist(), outcomes.tolist())) == [("Z", bit)]
+        expected = np.zeros(4)
         expected[bit] = 1.0
-        np.testing.assert_allclose(reg.state_vector(pid).amplitudes, expected, atol=1e-12)
+        np.testing.assert_allclose(reg.state_vector(0).amplitudes, expected, atol=1e-12)
 
 
 def test_quantum_intercept_disturbs_conjugate_states():
     rng = np.random.default_rng(9)
     hook = QuantumInterceptResend("Z", rng)
     trials = 20_000
-    errors = 0
-    for _ in range(trials):
-        reg = QuantumRegistry()
-        pid = reg.allocate(StateVector(np.array([S2, S2])))[0]
-        hook.intercept(ParticleCarrier(reg, pid))
-        errors += reg.measure(pid, "X", rng)  # |+> is X outcome 0
+    reg = QuantumRegistry()
+    pairs = reg.allocate(StateVector(np.array([S2, S2, 0.0, 0.0])), trials)  # |+> on half 0
+    hook.intercept(ParticleBlock(reg, pairs, 0))
+    errors = int(reg.measure(pairs, 0, "X", rng).sum())  # |+> is X outcome 0
     assert_frequency(errors, trials, 0.5, 5.0)
 
 
@@ -224,12 +223,11 @@ def test_quantum_intercept_singlet_bell_distribution():
         BellOutcome.PSI_PLUS: (1, 0),
         BellOutcome.PHI_PLUS: (1, 1),
     }
-    for _ in range(trials):
-        reg = QuantumRegistry()
-        ids = reg.allocate(singlet())
-        hook.intercept(ParticleCarrier(reg, ids[0]))
-        hook.intercept(ParticleCarrier(reg, ids[1]))
-        outcome = reg.bell_measure(ids[0], ids[1], rng)
+    reg = QuantumRegistry()
+    pairs = reg.allocate(singlet(), trials)
+    hook.intercept(ParticleBlock(reg, pairs, 0))
+    hook.intercept(ParticleBlock(reg, pairs, 1))
+    for outcome in reg.bell_measure(pairs, rng).tolist():
         counts[outcome] += 1
         bits = decode[outcome]
         wrong_bits += bits[0] + bits[1]  # truth is (0, 0)
@@ -253,16 +251,28 @@ def test_quantum_intercept_random_basis_error_rate():
         BellOutcome.PHI_PLUS: (1, 1),
     }
     wrong_bits = 0
-    for _ in range(trials):
-        reg = QuantumRegistry()
-        ids = reg.allocate(singlet())
-        hook.intercept(ParticleCarrier(reg, ids[0]))
-        hook.intercept(ParticleCarrier(reg, ids[1]))
-        bits = decode[reg.bell_measure(ids[0], ids[1], rng)]
+    reg = QuantumRegistry()
+    pairs = reg.allocate(singlet(), trials)
+    hook.intercept(ParticleBlock(reg, pairs, 0))
+    hook.intercept(ParticleBlock(reg, pairs, 1))
+    for outcome in reg.bell_measure(pairs, rng).tolist():
+        bits = decode[outcome]
         wrong_bits += bits[0] + bits[1]
     e = wrong_bits / (2 * trials)
     # exact rate 3/8 from the density-matrix computation; generous 5-sigma bound
     assert abs(e - 0.375) < 5.0 * 1.0 / (2 * math.sqrt(trials))
+
+
+def test_quantum_intercept_attack_fraction():
+    rng = np.random.default_rng(14)
+    hook = QuantumInterceptResend("Z", rng, attack_fraction=0.3)
+    trials = 20_000
+    reg = QuantumRegistry()
+    pairs = reg.allocate(singlet(), trials)
+    hook.intercept(ParticleBlock(reg, pairs, 0))
+    assert_frequency(hook.rounds_attacked, trials, 0.3, 5.0)
+    bases, outcomes = hook.observations[-1]
+    assert len(bases) == len(outcomes) == hook.rounds_attacked
 
 
 def test_quantum_intercept_validation():
@@ -280,16 +290,17 @@ def test_probe_attack_transparent_at_zero():
     rng = np.random.default_rng(12)
     hook = ProbeAttack(ProbeAttackSpec(0.0))
     reg = QuantumRegistry()
-    ids = reg.allocate(singlet())
-    for pid in ids:
-        hook.intercept(ParticleCarrier(reg, pid))
+    pairs = reg.allocate(singlet())
+    for half in (0, 1):
+        hook.intercept(ParticleBlock(reg, pairs, half))
     assert len(hook.probes) == 2
+    assert hook.rounds_attacked == 2
     np.testing.assert_allclose(
-        reg.reduced_density(ids).matrix,
+        reg.reduced_density(0, [0, 1]).matrix,
         np.outer(singlet().amplitudes, singlet().amplitudes.conj()),
         atol=1e-12,
     )
-    assert reg.bell_measure(ids[0], ids[1], rng) == BellOutcome.PSI_MINUS
+    assert reg.bell_measure(pairs, rng).tolist() == [BellOutcome.PSI_MINUS]
 
 
 def test_probe_attack_copies_computational_bits():
@@ -297,10 +308,10 @@ def test_probe_attack_copies_computational_bits():
     hook = ProbeAttack(ProbeAttackSpec(math.pi / 2))
     for bit in (0, 1):
         reg = QuantumRegistry()
-        pid = reg.allocate(basis_state(1, bit))[0]
-        hook.intercept(ParticleCarrier(reg, pid))
+        pairs = reg.allocate(basis_state(2, bit))  # half 0 holds bit
+        hook.intercept(ParticleBlock(reg, pairs, 0))
         probe = hook.probes[-1]
-        assert probe.registry.measure(probe.particle, "Z", rng) == bit
+        assert probe.registry.measure(probe.pairs, probe.qubits, "Z", rng).tolist() == [bit]
 
 
 def test_probe_attack_rejects_gbits():
@@ -381,6 +392,19 @@ def test_permutation_attack_success_rates():
         round(report3.guess_success_empirical * trials), trials, 1.0 / 15.0, 5.0
     )
     assert len(report3.detection_events) == trials
+
+
+def test_permutation_attack_guess_rate_underflows_at_large_blocks():
+    # 1 / matching_count(n) leaves the float range at n = 151
+    rng = np.random.default_rng(25)
+
+    def adjacent(n):
+        return [(2 * i, 2 * i + 1) for i in range(n)]
+
+    exact = permutation_attack(adjacent(150), rng).guess_success_analytic
+    assert exact == 1.0 / matching_count(150)
+    assert 0.0 < permutation_attack(adjacent(151), rng).guess_success_analytic < 1e-300
+    assert permutation_attack(adjacent(400), rng).guess_success_analytic == 0.0
 
 
 def test_permutation_attack_carries_block_information():

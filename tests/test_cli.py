@@ -157,6 +157,30 @@ def test_config_run_writes_table_sidecar_and_document(tmp_path):
     assert doc["outcome"] == "completed"
 
 
+def test_single_trial_config_runs_the_protocol_once(tmp_path, monkeypatch):
+    import orthosim.cli as cli
+    from orthosim.config import derive_seed
+    from orthosim.protocols import run
+
+    calls = []
+
+    def counting_run(config, seed=None):
+        calls.append(seed)
+        return run(config, seed=seed)
+
+    monkeypatch.setattr(cli, "run", counting_run)
+    config_path = CONFIG_DIR / "pop_qsdc_noisy.ini"
+    assert main(["run", "--config", str(config_path), "--seed", "9",
+                 "--out", str(tmp_path)]) == 0
+    assert calls == [derive_seed(9, 0, 0)]
+    # the one run feeds both the table and the run document
+    expected = run(load_config(str(config_path)), seed=derive_seed(9, 0, 0))
+    doc = (tmp_path / "pop_qsdc_noisy.result.json").read_text()
+    assert doc == json.dumps(expected.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    rows = read_rows(tmp_path / "pop_qsdc_noisy.csv")
+    assert float(rows[0]["error_rate"]) == expected.error_rate
+
+
 def test_config_run_is_byte_deterministic(tmp_path):
     argv = ["run", "--config", str(CONFIG_DIR / "stream_qkd_probe.ini"),
             "--trials", "2"]
@@ -241,22 +265,6 @@ def test_metrics_rejects_malformed_json(tmp_path, capsys):
 def test_metrics_missing_file(capsys):
     assert main(["metrics", "--result", "/nonexistent/run.json"]) == 1
     assert "not found" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------- scripts
-
-
-def test_wrapper_scripts_delegate(tmp_path):
-    import subprocess
-    import sys
-
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_theta_sweep.py"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--out", str(tmp_path)],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "theta-sweep.csv").exists()
 
 
 # ---------------------------------------------------------------- roundtrip

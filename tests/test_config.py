@@ -130,6 +130,33 @@ def test_adversary_spec_diagnostics():
     )
 
 
+def test_probe_rejects_attack_fraction():
+    diagnostics = AdversarySpec("probe", theta=0.3, attack_fraction=0.1).diagnostics()
+    assert any("attack_fraction does not apply to the probe" in d for d in diagnostics)
+    assert AdversarySpec("glt-intercept-resend", attack_fraction=0.1).diagnostics() == []
+
+
+def test_intercept_kinds_reject_theta():
+    for kind in ("glt-intercept-resend", "quantum-intercept-resend"):
+        diagnostics = AdversarySpec(kind, theta=0.3).diagnostics()
+        assert any("theta applies only to the probe" in d for d in diagnostics)
+
+
+def test_basis_only_on_quantum_intercept():
+    for kind in ("glt-intercept-resend", "probe"):
+        diagnostics = AdversarySpec(kind, basis="Z").diagnostics()
+        assert any("basis applies only to quantum-intercept-resend" in d for d in diagnostics)
+
+
+def test_guess_pairing_only_on_pop_qsdc():
+    guess = AdversarySpec("probe", theta=0.3, guess_pairing=True)
+    for config in (stream_config(adversary=guess),
+                   glt_config(adversary=AdversarySpec("glt-intercept-resend",
+                                                      guess_pairing=True))):
+        assert any("guess_pairing applies only to pop-qsdc" in d for d in config.validate())
+    assert pop_config(adversary=guess).validate() == []
+
+
 # ---------------------------------------------------------------- config validation
 
 

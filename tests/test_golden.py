@@ -1,0 +1,97 @@
+"""Golden digests: a (config, seed) pair fixes a run's document bit-exactly.
+
+Each digest is the SHA-256 of the ``.result.json`` bytes that
+``orthosim run --config`` writes for that run.  A change that alters
+which draws a seed produces must say so and commit new digests; print
+them with ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from orthosim.config import AdversarySpec, NoiseSpec, ProtocolConfig
+from orthosim.gpt import FiducialSpec
+from orthosim.protocols import run
+
+CONFIGS = {
+    "glt2s-clean": ProtocolConfig(kind="glt2s", fiducial=FiducialSpec(2, 2), num_gbits=40),
+    "glt2s-attacked": ProtocolConfig(
+        kind="glt2s", fiducial=FiducialSpec(3, 2), num_gbits=40, threshold=1.0,
+        adversary=AdversarySpec("glt-intercept-resend"),
+    ),
+    "stream-clean": ProtocolConfig(kind="stream-qkd", block_size=40),
+    "stream-noisy": ProtocolConfig(
+        kind="stream-qkd", block_size=40, threshold=0.2,
+        noise=NoiseSpec("depolarizing", 0.1),
+    ),
+    "stream-probed": ProtocolConfig(
+        kind="stream-qkd", block_size=40, threshold=0.2,
+        adversary=AdversarySpec("probe", theta=0.4),
+        noise=NoiseSpec("bit-flip", 0.02),
+    ),
+    "stream-intercepted": ProtocolConfig(
+        kind="stream-qkd", block_size=40, threshold=0.5,
+        adversary=AdversarySpec("quantum-intercept-resend", attack_fraction=0.5),
+    ),
+    "pop-clean": ProtocolConfig(
+        kind="pop-qsdc", block_size=8, message_bits=(1, 0, 1, 1, 0, 0, 1, 0),
+    ),
+    "pop-noisy": ProtocolConfig(
+        kind="pop-qsdc", block_size=14, threshold=0.05, message_bits=(1, 0, 1, 1),
+        noise=NoiseSpec("depolarizing", 0.03),
+    ),
+    "pop-probed": ProtocolConfig(
+        kind="pop-qsdc", block_size=20, threshold=0.05, message_bits=(1, 0),
+        adversary=AdversarySpec("probe", theta=0.3, guess_pairing=True),
+    ),
+    "pop-probed-exact": ProtocolConfig(
+        kind="pop-qsdc", block_size=2, threshold=0.01, message_bits=(1,),
+        adversary=AdversarySpec("probe", theta=0.3),
+    ),
+}
+SEEDS = (1, 2)
+
+# clean and exactly scored pop-qsdc documents hold no seed-dependent field,
+# so their two seeds share a digest
+GOLDEN = {
+    ('glt2s-attacked', 1): 'ef4a7a872c3c0f4e9b4e301706d4ffe9bbe99dcbe928ac4a1e01e67e4f85ccb0',
+    ('glt2s-attacked', 2): '53cbc49203c2f9a51e452cefd241bbf9aea4d9b88d78cdd363ead9dbf9140189',
+    ('glt2s-clean', 1): '0a72fd5c2e80709866422dc88d4823070183c283fddadb08aa5b6732c664db9c',
+    ('glt2s-clean', 2): '43afe8e1f5f016dde38a7c15a9e6a480fc2353cf57007492bb4ee6d1705ec4a3',
+    ('pop-clean', 1): 'ec4209f994db799371a1464a64f7b34c6e4d637a43b0dac79c5b524bf2ef87f3',
+    ('pop-clean', 2): 'ec4209f994db799371a1464a64f7b34c6e4d637a43b0dac79c5b524bf2ef87f3',
+    ('pop-noisy', 1): 'a1be7741d69a50a2bdf165ea0bd41e2cb2cf1302a669bb69d4d03b048a317190',
+    ('pop-noisy', 2): 'bbee07e1fac11ed2ac573f2d34965eb88b4dcb69c82691f83da51c5a2591fb1b',
+    ('pop-probed', 1): 'db41b638e6b55b12d7e7c379127d74167eedd9037e17da336edf9c18d1628714',
+    ('pop-probed', 2): 'b932c9ecc85a25b5e0c0c3d670cc467b7b7c41e863bdeffdc4918d7ca12911e6',
+    ('pop-probed-exact', 1): '15688d6fb9fcce34b8f413ea04b3d35ebbeb68e3c5a135cee98dc5027599e76b',
+    ('pop-probed-exact', 2): '15688d6fb9fcce34b8f413ea04b3d35ebbeb68e3c5a135cee98dc5027599e76b',
+    ('stream-clean', 1): 'abadb0b27c871d0ac75c48f852123d7e03eb57e74c9d48de247f706fdfaa742c',
+    ('stream-clean', 2): '9f5a35339d5c861fecdce1ddac4aedc327f488711a3792cd6a0791d9159d8c7a',
+    ('stream-intercepted', 1): 'f63487b4a9470ee04ecd0b1f0aafc118f8131617a06bd086c539655e9607008f',
+    ('stream-intercepted', 2): '4a4a0e3c46d032f98f95baeab3ccfa761337859a7007816f6af05b965fe85ede',
+    ('stream-noisy', 1): '40199f11c417ab3c79399b5b2eecb7357563774f9c699ffaefa454de89bc37bb',
+    ('stream-noisy', 2): '151dcb420f1583e76f0112e5d106424a2d214bd48c50f7d2ee2513fe7a4be65b',
+    ('stream-probed', 1): 'e6048a8a1330a19f191474b9240ef1581f0ee249a27dce327bd7241ed3f51536',
+    ('stream-probed', 2): '674be8c9fc94a3482ca412a9cb6d69a019c45c7e3d7477d8a1d802f71f481e36',
+}
+
+
+def result_digest(name: str, seed: int) -> str:
+    doc = run(CONFIGS[name], seed=seed).to_json_dict()
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_result_document_digest(name, seed):
+    assert result_digest(name, seed) == GOLDEN[(name, seed)]
+
+
+if __name__ == "__main__":
+    for name in sorted(CONFIGS):
+        for seed in SEEDS:
+            print(f"    ({name!r}, {seed}): {result_digest(name, seed)!r},")

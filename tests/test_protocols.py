@@ -292,6 +292,16 @@ def test_pop_pairing_guess_reported():
     assert res.attack_report.guess_success_empirical in (0.0, 1.0)
 
 
+def test_pop_pairing_guess_at_large_blocks():
+    # 1 / matching_count(151) is below the float range: it must underflow, not raise
+    res = run(pop(seed=3, n=151, message=(1, 0), threshold=0.05,
+                  adversary=AdversarySpec("probe", theta=0.1, guess_pairing=True)))
+    assert res.outcome == "completed"
+    assert 0.0 <= res.attack_report.guess_success_analytic < 1e-300
+    assert res.attack_report.guess_success_empirical == 0.0
+    assert res.attack_report.rounds_attacked == 6 * 151
+
+
 # ---------------------------------------------------------------- transcripts
 
 

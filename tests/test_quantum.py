@@ -476,49 +476,58 @@ def test_channel_on_chosen_qubit_of_register():
     np.testing.assert_allclose(out.matrix, density(expected).matrix, atol=1e-12)
 
 
-# ---------------------------------------------------------------- registry
+# ---------------------------------------------------------------- pair engine
 
 
 def test_registry_singlet_roundtrip():
     rng = np.random.default_rng(31)
     reg = QuantumRegistry()
-    ids = reg.allocate(singlet())
-    assert reg.bell_measure(ids[0], ids[1], rng) == BellOutcome.PSI_MINUS
+    pairs = reg.allocate(singlet())
+    assert reg.bell_measure(pairs, rng).tolist() == [BellOutcome.PSI_MINUS]
 
 
 def test_registry_pauli_and_probe():
     rng = np.random.default_rng(32)
     reg = QuantumRegistry()
-    ids = reg.allocate(singlet())
-    reg.apply_pauli(ids[0], "X")
-    assert reg.bell_measure(ids[0], ids[1], rng) == BellOutcome.PHI_MINUS
+    pairs = reg.allocate(singlet())
+    reg.apply_pauli(pairs, 0, x=1, z=0)
+    assert reg.bell_measure(pairs, rng).tolist() == [BellOutcome.PHI_MINUS]
     # a full-strength probe copies the computational bit
     reg2 = QuantumRegistry()
-    ids2 = reg2.allocate(basis_state(1, 1))
-    probe = reg2.attach_probe(ids2[0], ProbeAttackSpec(math.pi / 2))
-    assert reg2.measure(probe, "Z", rng) == 1
+    pairs2 = reg2.allocate(basis_state(2, 1))
+    probe = reg2.attach_probe(pairs2, 0, ProbeAttackSpec(math.pi / 2))
+    assert probe.tolist() == [2]
+    assert reg2.measure(pairs2, probe, "Z", rng).tolist() == [1]
 
 
-def test_registry_merge_and_guard():
-    rng = np.random.default_rng(33)
+def test_registry_probe_qubits_and_limit():
     reg = QuantumRegistry()
-    a = reg.allocate(basis_state(1, 0))[0]
-    b = reg.allocate(basis_state(1, 0))[0]
-    assert reg.bell_measure(a, b, rng) in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
-    assert reg.register_size(a) == 2
-    big = QuantumRegistry()
-    ids = big.allocate(singlet())
-    for _ in range(MAX_QUBITS - 2):
-        big.attach_probe(ids[0], ProbeAttackSpec(0.1))
+    pairs = reg.allocate(singlet(), 3)
+    spec = ProbeAttackSpec(0.1)
+    assert reg.attach_probe(pairs[:1], 1, spec).tolist() == [2]
+    assert reg.num_qubits == 3
+    # half-0 particles take probe qubits before half-1 ones: pair 0 gets
+    # its second, pairs 1 and 2 their first, then pair 1's half 1 its second
+    both = reg.attach_probe([0, 1, 2, 1], [0, 1, 0, 0], spec)
+    assert both.tolist() == [3, 3, 2, 2]
+    assert reg.num_qubits == 4
+    late = reg.allocate(singlet())  # later pairs hold |0> on the probe qubits
+    np.testing.assert_allclose(
+        reg.state_vector(int(late[0])).amplitudes,
+        np.kron(basis_state(2, 0).amplitudes, singlet().amplitudes),
+        atol=1e-12,
+    )
     with pytest.raises(ResourceLimitError):
-        big.attach_probe(ids[0], ProbeAttackSpec(0.1))
+        reg.attach_probe([0], 1, spec)
+    with pytest.raises(QuantumValidationError):
+        reg.attach_probe([2], 2, spec)  # probes attach to halves only
 
 
 def test_registry_reduced_density_order():
     reg = QuantumRegistry()
-    ids = reg.allocate(basis_state(2, 1))  # qubit0 = 1, qubit1 = 0
-    rho01 = reg.reduced_density([ids[0], ids[1]]).matrix
-    rho10 = reg.reduced_density([ids[1], ids[0]]).matrix
+    pair = int(reg.allocate(basis_state(2, 1))[0])  # qubit0 = 1, qubit1 = 0
+    rho01 = reg.reduced_density(pair, [0, 1]).matrix
+    rho10 = reg.reduced_density(pair, [1, 0]).matrix
     np.testing.assert_allclose(rho01, density(basis_state(2, 1)).matrix, atol=1e-12)
     np.testing.assert_allclose(rho10, density(basis_state(2, 2)).matrix, atol=1e-12)
 
@@ -526,4 +535,118 @@ def test_registry_reduced_density_order():
 def test_registry_unknown_particle():
     reg = QuantumRegistry()
     with pytest.raises(QuantumValidationError):
-        reg.measure(99, "Z", np.random.default_rng(0))
+        reg.measure([99], 0, "Z", np.random.default_rng(0))
+    reg.allocate(singlet())
+    with pytest.raises(QuantumValidationError):
+        reg.measure([0], 2, "Z", np.random.default_rng(0))  # no probe qubit yet
+    with pytest.raises(QuantumValidationError):
+        reg.apply_pauli([0, 0], 1, x=1, z=0)  # one particle twice in one call
+    with pytest.raises(QuantumValidationError):
+        reg.measure([0], 0, "Y", np.random.default_rng(0))
+
+
+def test_registry_dense_codes_match_exact_encoding():
+    reg = QuantumRegistry()
+    codes = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    pairs = reg.allocate(singlet(), len(codes))
+    bits = np.array(codes)
+    reg.apply_pauli(pairs, 0, x=bits[:, 1], z=bits[:, 0])
+    for pair, code in zip(pairs.tolist(), codes):
+        np.testing.assert_allclose(
+            reg.state_vector(pair).amplitudes,
+            dense_encode(code, singlet()).amplitudes,
+            atol=1e-12,
+        )
+
+
+def test_registry_measure_matches_exact_measurement():
+    # X-basis measurement of half 0 of a singlet: both outcomes equally
+    # likely, and the half is left in the observed eigenstate
+    rng = np.random.default_rng(34)
+    trials = 20_000
+    reg = QuantumRegistry()
+    pairs = reg.allocate(singlet(), trials)
+    outcomes = reg.measure(pairs, 0, "X", rng)
+    assert_frequency(int(outcomes.sum()), trials, 0.5, 5.0)
+    again = reg.measure(pairs, 0, "X", rng)
+    assert (again == outcomes).all()
+    # the far half is left in the opposite X eigenstate
+    assert (reg.measure(pairs, 1, "X", rng) == 1 - outcomes).all()
+
+
+def test_registry_noise_trajectory_frequencies():
+    # each non-identity Pauli on half 0 moves the singlet to a different
+    # Bell state, so outcome frequencies read the mixture weights
+    rng = np.random.default_rng(35)
+    trials = 40_000
+    p = 0.4
+    reg = QuantumRegistry()
+    pairs = reg.allocate(singlet(), trials)
+    reg.apply_noise(pairs, 0, NoiseChannel("depolarizing", p), rng)
+    counts = np.bincount(reg.bell_measure(pairs, rng), minlength=4)
+    for outcome in BellOutcome:
+        expected = 1.0 - 0.75 * p if outcome == BellOutcome.PSI_MINUS else 0.25 * p
+        assert_frequency(int(counts[outcome]), trials, expected, 5.0)
+
+
+# Bell states over the little-endian index bit0 + 2*bit1, built here
+# independently of the engine's own table
+_ORACLE_BELL = {
+    BellOutcome.PHI_PLUS: np.array([S2, 0, 0, S2]),
+    BellOutcome.PHI_MINUS: np.array([S2, 0, 0, -S2]),
+    BellOutcome.PSI_PLUS: np.array([0, S2, S2, 0]),
+    BellOutcome.PSI_MINUS: np.array([0, S2, -S2, 0]),
+}
+_ORACLE_PAULIS = ((PAULI_I, 0, 0), (PAULI_X, 1, 0), (PAULI_Y, 1, 1), (PAULI_Z, 0, 1))
+
+
+def _pauli_exponents(op):
+    return next((x, z) for ref, x, z in _ORACLE_PAULIS if np.array_equal(ref, op))
+
+
+def _exact_bell_probabilities(code, theta, channel):
+    """dense_encode -> probe each half -> channel on each half -> Bell
+    projectors, all on the exact StateVector / DensityMatrix path."""
+    spec = ProbeAttackSpec(theta)
+    joint = probe_interact(dense_encode(code, singlet()), spec, system_qubit=0)
+    joint = probe_interact(joint, spec, system_qubit=1)  # probes are qubits 2, 3
+    rho = density(joint)
+    if channel is not None:
+        rho = apply_channel(apply_channel(rho, channel, 0), channel, 1)
+    blocks = rho.matrix.reshape(4, 4, 4, 4)  # (probes, halves, probes', halves')
+    halves = np.einsum("pipj->ij", blocks)
+    return np.array(
+        [float((_ORACLE_BELL[k].conj() @ halves @ _ORACLE_BELL[k]).real) for k in BellOutcome]
+    )
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 6, math.pi / 4, math.pi / 2])
+@pytest.mark.parametrize(
+    "channel",
+    [None, NoiseChannel("depolarizing", 0.3), NoiseChannel("bit-flip", 0.2)],
+    ids=["clean", "depolarizing", "bit-flip"],
+)
+def test_engine_bell_probabilities_match_exact_oracle(theta, channel):
+    # every noise trajectory runs as its own pair; weighting the engine's
+    # per-pair Bell probabilities by the trajectory weights must give the
+    # exact channel's probabilities
+    mixture = [(1.0, PAULI_I)] if channel is None else channel.pauli_mixture()
+    branches = [
+        (wa * wb, _pauli_exponents(a), _pauli_exponents(b))
+        for wa, a in mixture
+        for wb, b in mixture
+    ]
+    spec = ProbeAttackSpec(theta)
+    for code in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        reg = QuantumRegistry()
+        pairs = reg.allocate(singlet(), len(branches))
+        reg.apply_pauli(pairs, 0, x=code[1], z=code[0])
+        for half in (0, 1):  # per half: intercept, then noise
+            reg.attach_probe(pairs, half, spec)
+            xz = np.array([branch[1 + half] for branch in branches])
+            reg.apply_pauli(pairs, half, x=xz[:, 0], z=xz[:, 1])
+        weights = np.array([branch[0] for branch in branches])
+        engine = weights @ reg.bell_probabilities(pairs)
+        np.testing.assert_allclose(
+            engine, _exact_bell_probabilities(code, theta, channel), rtol=0.0, atol=1e-12
+        )

@@ -11,7 +11,7 @@ from orthosim.transport import (
     Channel,
     EveHook,
     GbitCarrier,
-    ParticleCarrier,
+    ParticleBlock,
     Permutation,
     Transcript,
     TranscriptRecord,
@@ -146,18 +146,42 @@ def test_conservation_of_carriers():
         assert sorted(id(c) for c in delivered) == sorted(id(c) for c in block)
 
 
-def test_particles_consumed_once():
+def test_duplicate_particles_in_one_block_rejected():
     reg = QuantumRegistry()
-    ids = reg.allocate(singlet())
-    channel = Channel()
-    carrier = ParticleCarrier(reg, ids[0])
-    channel.send_block([carrier], Permutation.identity(1))
+    reg.allocate(singlet())
     with pytest.raises(TransportError):
-        channel.send_block([carrier], Permutation.identity(1))
-    # duplicates inside one block are caught too
-    other = ParticleCarrier(reg, ids[1])
+        Channel().send_block(ParticleBlock(reg, [0, 0], [1, 1]), np.arange(2))
+    Channel().send_block(ParticleBlock(reg, [0, 0], [0, 1]), np.arange(2))
+
+
+def test_particle_block_travels_whole_in_transit_order():
+    reg = QuantumRegistry()
+    reg.allocate(singlet(), 2)
+    block = ParticleBlock(reg, [0, 0, 1, 1], [0, 1, 0, 1])
+    hook = EveHook()
+    channel = Channel(eve_hook=hook)
+    delivered = channel.send_block(block, np.array([2, 0, 3, 1]))
+    assert len(hook.input_trace) == 1  # one hook call for the block
+    assert hook.input_trace[0].pairs.tolist() == [1, 0, 1, 0]
+    assert hook.input_trace[0].qubits.tolist() == [0, 0, 1, 1]
+    assert delivered.pairs.tolist() == [1, 0, 1, 0]
+    assert channel.transcript.records[-1].payload == "block len=4 kinds=ParticleCarrier"
     with pytest.raises(TransportError):
-        Channel().send_block([other, ParticleCarrier(reg, ids[1])], Permutation.identity(2))
+        Channel().send_block(block, np.array([0, 0, 1, 2]))
+    with pytest.raises(TransportError):
+        Channel().send_block(block, np.arange(3))
+
+
+def test_streamed_block_logs_one_record_per_particle():
+    reg = QuantumRegistry()
+    reg.allocate(singlet(), 3)
+    channel = Channel(eve_hook=EveHook())
+    channel.broadcast("hello", sender="bob", description="greeting")
+    channel.send_block(ParticleBlock(reg, [0, 0, 1, 1, 2, 2], [0, 1] * 3), None, stream=True)
+    records = channel.transcript.records
+    assert [r.round_index for r in records] == list(range(1, 8))
+    assert all(r.payload == "block len=1 kinds=ParticleCarrier" for r in records[1:])
+    assert all(r.tampered and r.channel == "carrier" for r in records[1:])
 
 
 def test_block_size_must_match_permutation():
@@ -180,14 +204,14 @@ def test_noise_requires_rng_and_quantum_carriers():
 
 def test_full_strength_bit_flip_in_transit():
     reg = QuantumRegistry()
-    ids = reg.allocate(singlet())
+    pairs = reg.allocate(singlet())
     channel = Channel(
         noise=NoiseChannel("bit-flip", 1.0), noise_rng=np.random.default_rng(0)
     )
-    channel.send_block([ParticleCarrier(reg, ids[0])], Permutation.identity(1))
+    channel.send_block(ParticleBlock(reg, pairs, 0), None)
     rng = np.random.default_rng(5)
-    a = reg.measure(ids[0], "Z", rng)
-    b = reg.measure(ids[1], "Z", rng)
+    a = reg.measure(pairs, 0, "Z", rng)
+    b = reg.measure(pairs, 1, "Z", rng)
     assert a == b  # the flip turns anticorrelation into correlation
 
 
@@ -242,9 +266,9 @@ def test_transcript_determinism_same_seed():
             noise=NoiseChannel("depolarizing", 0.3), noise_rng=np.random.default_rng(seed + 1)
         )
         reg = QuantumRegistry()
-        ids = reg.allocate(singlet())
+        reg.allocate(singlet())
         perm = Permutation.random(2, rng)
-        channel.send_block([ParticleCarrier(reg, p) for p in ids], perm)
+        channel.send_block(ParticleBlock(reg, [0, 0], [0, 1]), perm.mapping)
         channel.broadcast(list(perm.mapping), sender="alice", description=f"perm L={perm.size}")
         return channel.transcript.to_jsonl()
 
