@@ -98,7 +98,6 @@ from orthosim.quantum import (
     bell_measure,
     dense_encode,
     holevo_information,
-    measure_qubit,
     probe_interact,
     reduced_state,
     singlet,

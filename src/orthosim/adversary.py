@@ -46,7 +46,7 @@ __all__ = [
     "stream_eve_information",
 ]
 
-_POP_ENUMERATION_LIMIT = 3
+_POP_ENUMERATION_LIMIT = 4
 
 
 class AdversaryError(ValueError):
@@ -358,47 +358,75 @@ def stream_eve_information(theta: float) -> float:
     return holevo_information(ensemble)
 
 
+def _matching_perms(num_pairs: int) -> list[list[int]]:
+    """One qubit relabeling per perfect matching of the 2N probe positions:
+    the canonical product's pair i lands on the matching's i-th edge."""
+    perms = []
+    for matching in perfect_matchings(range(2 * num_pairs)):
+        perm = [0] * (2 * num_pairs)
+        for i, (a, b) in enumerate(matching):  # a < b in every yielded edge
+            perm[a], perm[b] = 2 * i, 2 * i + 1
+        perms.append(perm)
+    return perms
+
+
+def _pop_multiset_state(
+    sigma: dict[tuple[int, int], np.ndarray],
+    multiset: tuple[tuple[int, int], ...],
+    perms: Sequence[Sequence[int]],
+) -> tuple[int, np.ndarray]:
+    """The placement-averaged probe state shared by every message whose
+    dense-coded symbols form ``multiset``, and the number of those messages.
+
+    Averaging over the assignments of pairs to matched edges is averaging
+    the canonical product (pair i on qubits 2i, 2i+1) over the distinct
+    orderings of the multiset; the matchings in ``perms`` do the rest.
+    """
+    orderings = sorted(set(itertools.permutations(multiset)))
+    dim = 4 ** len(multiset)
+    symmetric = np.zeros((dim, dim), dtype=complex)
+    for ordering in orderings:
+        canonical = np.eye(1, dtype=complex)
+        for bits in ordering:
+            canonical = np.kron(sigma[bits], canonical)
+        symmetric += canonical
+    symmetric /= len(orderings)
+    acc = np.zeros((dim, dim), dtype=complex)
+    for perm in perms:
+        acc += _permute_qubits_raw(symmetric, perm)
+    return len(orderings), acc / len(perms)
+
+
 def pop_eve_information(theta: float, num_pairs: int) -> float:
     """Exact per-pair Holevo information under permutation ignorance.
 
     With uniform permutation scrambling the attacker holds 2N probes but
     does not know which positions pair up nor which pair carries which
-    message slot, so her state per message vector is the average over
-    every placement: each perfect matching of the 2N positions combined
-    with each assignment of pairs to matched edges. (Probe-pair states
-    are symmetric under swapping the two probes, so orientation within
-    an edge does not matter.) Exhaustive, hence limited to small N.
+    message slot, so her state per message is the average over every
+    placement: each perfect matching of the 2N positions combined with
+    each assignment of pairs to matched edges.  (Probe-pair states are
+    symmetric under swapping the two probes, so orientation within an
+    edge does not matter.)  That average depends only on the multiset of
+    the message's dense-coded symbols, so the ensemble has one state per
+    multiset (20 at N = 3, 35 at N = 4, against 4^N messages), weighted
+    by its number of orderings.  Each state is the canonical product
+    symmetrized over those orderings, which is the assignment average,
+    then averaged over the (2N-1)!! perfect matchings.  Exact, hence
+    limited to N <= 4.
     """
     if num_pairs < 1:
         raise AdversaryError("num_pairs must be positive")
     if num_pairs > _POP_ENUMERATION_LIMIT:
         raise AdversaryError(
-            f"exhaustive placement enumeration supports num_pairs <= {_POP_ENUMERATION_LIMIT}"
+            f"exact placement averaging supports num_pairs <= {_POP_ENUMERATION_LIMIT}"
         )
-    n = num_pairs
     sigma = {
         bits: _pair_probe_state(theta, bits)
         for bits in itertools.product((0, 1), repeat=2)
     }
-    placements = [
-        (matching, assignment)
-        for matching in perfect_matchings(range(2 * n))
-        for assignment in itertools.permutations(range(n))
-    ]
-    dim = 4**n
-    messages = list(itertools.product(list(sigma), repeat=n))
+    perms = _matching_perms(num_pairs)
     ensemble = []
-    for message in messages:
-        acc = np.zeros((dim, dim), dtype=complex)
-        canonical = np.eye(1, dtype=complex)
-        for bits in message:  # pair i sits at qubits (2i, 2i+1)
-            canonical = np.kron(sigma[bits], canonical)
-        for matching, assignment in placements:
-            perm = [0] * (2 * n)
-            for edge_index, (a, b) in enumerate(matching):
-                i = assignment[edge_index]
-                perm[min(a, b)] = 2 * i
-                perm[max(a, b)] = 2 * i + 1
-            acc += _permute_qubits_raw(canonical, perm)
-        ensemble.append((1.0 / len(messages), DensityMatrix(acc / len(placements))))
-    return holevo_information(ensemble) / n
+    for multiset in itertools.combinations_with_replacement(sigma, num_pairs):
+        count, state = _pop_multiset_state(sigma, multiset, perms)
+        ensemble.append((count / 4**num_pairs, DensityMatrix(state)))
+    return holevo_information(ensemble) / num_pairs

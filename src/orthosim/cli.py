@@ -32,6 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .adversary import (
+    escape_probability,
     permutation_attack,
     pop_eve_information,
     stream_eve_information,
@@ -214,7 +215,7 @@ def _builtin_escape_curve(trials: int, seed: int) -> list[ResultRow]:
             label="escape-curve", kind="glt2s", axis="num_gbits", value=n,
             trials=trials, error_rate=errors / trials,
             detection_rate=1.0 - survived / trials,
-            escape_analytic=0.75**n, escape_empirical=survived / trials,
+            escape_analytic=escape_probability(2, 2, n), escape_empirical=survived / trials,
         ))
     return rows
 

@@ -80,9 +80,14 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
+    """Hermitian, unit-trace, positive-semidefinite operator.
+
+    ``spectrum`` holds the ascending eigenvalues that the positivity
+    check computes, so entropies need no second eigensolve.
+    """
 
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
@@ -100,13 +105,16 @@ class DensityMatrix:
             raise QuantumValidationError(
                 f"trace {trace!r} deviates from 1 by more than {TRACE_TOL}"
             )
-        smallest = float(np.linalg.eigvalsh(mat)[0])
+        spectrum = np.linalg.eigvalsh(mat)
+        smallest = float(spectrum[0])
         if smallest < EIGENVALUE_FLOOR:
             raise QuantumValidationError(
                 f"eigenvalue {smallest!r} below the {EIGENVALUE_FLOOR} floor"
             )
         mat.flags.writeable = False
+        spectrum.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def num_qubits(self) -> int:
@@ -188,13 +196,6 @@ def apply_single_qubit_gate(state: StateVector, gate: np.ndarray, qubit: int) ->
     return StateVector(_apply_gate_vec(state.amplitudes, gate, [qubit]))
 
 
-def apply_two_qubit_gate(
-    state: StateVector, gate: np.ndarray, qubit_a: int, qubit_b: int
-) -> StateVector:
-    """Apply a 4x4 gate; its local index is ``2*bit_a + bit_b``."""
-    return StateVector(_apply_gate_vec(state.amplitudes, gate, [qubit_a, qubit_b]))
-
-
 _DENSE_OPS = {
     (0, 0): PAULI_I,
     (0, 1): PAULI_X,
@@ -251,40 +252,6 @@ def bell_measure(state: StateVector, qubit_a: int, qubit_b: int, rng) -> tuple[B
     """
     outcome, post = _project_bell(state.amplitudes, qubit_a, qubit_b, rng)
     return BellOutcome(outcome), StateVector(post)
-
-
-_X_BASIS = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-_Z_BASIS = np.eye(2, dtype=complex)
-
-
-def _project_qubit(amps: np.ndarray, qubit: int, basis: str, rng) -> tuple[int, np.ndarray]:
-    n = amps.size.bit_length() - 1
-    if basis == "Z":
-        vecs = _Z_BASIS
-    elif basis == "X":
-        vecs = _X_BASIS
-    else:
-        raise QuantumValidationError(f"basis must be 'Z' or 'X', got {basis!r}")
-    axis = _axis(n, qubit)
-    arr = np.moveaxis(amps.reshape([2] * n), axis, 0).reshape(2, -1)
-    coeffs = vecs.conj() @ arr
-    p0 = float(np.vdot(coeffs[0], coeffs[0]).real)
-    p1 = float(np.vdot(coeffs[1], coeffs[1]).real)
-    total = p0 + p1
-    outcome = 0 if rng.random() < p0 / total else 1
-    picked = coeffs[outcome] / math.sqrt(max((p0 if outcome == 0 else p1), 1e-300))
-    post = np.outer(vecs[outcome], picked).reshape([2] * n)
-    post = np.moveaxis(post, 0, axis).reshape(-1)
-    return outcome, post
-
-
-def measure_qubit(state: StateVector, qubit: int, basis: str, rng) -> tuple[int, StateVector]:
-    """Projective single-qubit measurement in the Z or X basis.
-
-    X-basis outcome 0 is the +1 eigenstate.
-    """
-    outcome, post = _project_qubit(state.amplitudes, qubit, basis, rng)
-    return outcome, StateVector(post)
 
 
 def density(state: StateVector) -> DensityMatrix:
@@ -351,7 +318,7 @@ def permute_qubits(dm: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
 
 def von_neumann_entropy(dm: DensityMatrix) -> float:
     """Entropy in bits; eigenvalues in [-1e-10, 0) are clipped to zero."""
-    eigs = np.linalg.eigvalsh(dm.matrix)
+    eigs = dm.spectrum
     eigs = np.where((eigs < 0.0) & (eigs >= EIGENVALUE_FLOOR), 0.0, eigs)
     positive = eigs[eigs > 0.0]
     return float(-(positive * np.log2(positive)).sum())
@@ -451,22 +418,6 @@ def apply_channel(state, channel: NoiseChannel, qubit: int) -> DensityMatrix:
     for kraus in channel.kraus_operators():
         out = out + _apply_gate_dm(dm.matrix, kraus, qubit)
     return DensityMatrix(out)
-
-
-def sample_channel(state: StateVector, channel: NoiseChannel, qubit: int, rng) -> StateVector:
-    """One stochastic trajectory of the channel: a random Pauli applied
-    with the channel's mixture weights.  Averaged over trajectories this
-    reproduces ``apply_channel`` exactly."""
-    u = rng.random()
-    acc = 0.0
-    mixture = channel.pauli_mixture()
-    for weight, op in mixture:
-        acc += weight
-        if u < acc:
-            if op is PAULI_I:
-                return state
-            return apply_single_qubit_gate(state, op, qubit)
-    return state
 
 
 # --------------------------------------------------------------- probe family

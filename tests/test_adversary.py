@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ from orthosim.adversary import (
     GltInterceptResend,
     ProbeAttack,
     QuantumInterceptResend,
+    _matching_perms,
+    _pair_probe_state,
+    _pop_multiset_state,
     escape_probability,
     escape_probability_checked,
     matching_count,
@@ -22,11 +26,13 @@ from orthosim.gpt import FiducialSpec, gbit_pure, sample_outcome
 from orthosim.metrics import JointCounts, mutual_information
 from orthosim.quantum import (
     BellOutcome,
+    DensityMatrix,
     ProbeAttackSpec,
     QuantumRegistry,
     StateVector,
     _permute_qubits_raw,
     basis_state,
+    holevo_information,
     singlet,
 )
 from orthosim.transport import GbitCarrier, ParticleBlock
@@ -323,10 +329,52 @@ def test_probe_attack_rejects_gbits():
 # ---------------------------------------------------------------- Holevo evaluations
 
 
+def _pair_states(theta):
+    return {
+        bits: _pair_probe_state(theta, bits)
+        for bits in itertools.product((0, 1), repeat=2)
+    }
+
+
+def _exhaustive_pop_state(sigma, message):
+    """Reference: the probe state of ``message`` averaged over every
+    placement, each perfect matching times each assignment of pairs to
+    matched edges."""
+    n = len(message)
+    placements = [
+        (matching, assignment)
+        for matching in perfect_matchings(range(2 * n))
+        for assignment in itertools.permutations(range(n))
+    ]
+    dim = 4**n
+    acc = np.zeros((dim, dim), dtype=complex)
+    canonical = np.eye(1, dtype=complex)
+    for bits in message:  # pair i sits at qubits (2i, 2i+1)
+        canonical = np.kron(sigma[bits], canonical)
+    for matching, assignment in placements:
+        perm = [0] * (2 * n)
+        for edge_index, (a, b) in enumerate(matching):
+            i = assignment[edge_index]
+            perm[min(a, b)] = 2 * i
+            perm[max(a, b)] = 2 * i + 1
+        acc += _permute_qubits_raw(canonical, perm)
+    return acc / len(placements)
+
+
+def _exhaustive_pop_information(theta, num_pairs):
+    """Reference for pop_eve_information: one ensemble state per message,
+    each averaged over every placement."""
+    sigma = _pair_states(theta)
+    messages = list(itertools.product(list(sigma), repeat=num_pairs))
+    ensemble = [
+        (1.0 / len(messages), DensityMatrix(_exhaustive_pop_state(sigma, message)))
+        for message in messages
+    ]
+    return holevo_information(ensemble) / num_pairs
+
+
 def test_pair_probe_states_symmetric_under_swap():
     for theta in BLOCK_ADVANTAGE_TABLE:
-        from orthosim.adversary import _pair_probe_state
-
         for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
             sigma = _pair_probe_state(theta, bits)
             np.testing.assert_allclose(
@@ -364,7 +412,31 @@ def test_pop_information_guards():
     with pytest.raises(AdversaryError):
         pop_eve_information(0.3, 0)
     with pytest.raises(AdversaryError):
-        pop_eve_information(0.3, 4)
+        pop_eve_information(0.3, 5)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 8, 0.3, math.pi / 4, math.pi / 2])
+@pytest.mark.parametrize("num_pairs", [1, 2, 3])
+def test_pop_information_matches_exhaustive_placements(theta, num_pairs):
+    assert pop_eve_information(theta, num_pairs) == pytest.approx(
+        _exhaustive_pop_information(theta, num_pairs), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "message",
+    [((1, 1), (0, 0), (1, 0), (0, 1)), ((1, 1), (0, 1), (1, 1), (0, 1))],
+    ids=["four-symbols", "two-repeated"],
+)
+def test_pop_multiset_state_matches_exhaustive_placements_at_four_pairs(message):
+    # the only independent check of N = 4: one multiset state against the
+    # average over all 105 matchings x 24 assignments of an unsorted message
+    sigma = _pair_states(0.3)
+    count, state = _pop_multiset_state(sigma, tuple(sorted(message)), _matching_perms(4))
+    assert count == len(set(itertools.permutations(message)))
+    np.testing.assert_allclose(
+        state, _exhaustive_pop_state(sigma, message), rtol=0.0, atol=1e-12
+    )
 
 
 # ---------------------------------------------------------------- pairing guess

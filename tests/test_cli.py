@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from orthosim.adversary import pop_eve_information, stream_eve_information
+from orthosim.adversary import stream_eve_information
 from orthosim.cli import BUILTINS, COLUMNS, main
 from orthosim.config import dump_config, load_config
 from orthosim.protocols import RESULT_SCHEMA
 
 from conftest import assert_frequency
+from test_adversary import _exhaustive_pop_information
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -111,8 +112,8 @@ def test_block_advantage_matches_enumeration(tmp_path):
         theta = float(row["value"])
         expected = {
             "stream": stream_eve_information(theta),
-            "pop-2": pop_eve_information(theta, 2),
-            "pop-3": pop_eve_information(theta, 3),
+            "pop-2": _exhaustive_pop_information(theta, 2),
+            "pop-3": _exhaustive_pop_information(theta, 3),
         }[row["variant"]]
         assert float(row["info_ae"]) == pytest.approx(expected, abs=1e-12)
 

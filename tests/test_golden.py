@@ -66,8 +66,8 @@ GOLDEN = {
     ('pop-noisy', 2): 'bbee07e1fac11ed2ac573f2d34965eb88b4dcb69c82691f83da51c5a2591fb1b',
     ('pop-probed', 1): 'db41b638e6b55b12d7e7c379127d74167eedd9037e17da336edf9c18d1628714',
     ('pop-probed', 2): 'b932c9ecc85a25b5e0c0c3d670cc467b7b7c41e863bdeffdc4918d7ca12911e6',
-    ('pop-probed-exact', 1): '15688d6fb9fcce34b8f413ea04b3d35ebbeb68e3c5a135cee98dc5027599e76b',
-    ('pop-probed-exact', 2): '15688d6fb9fcce34b8f413ea04b3d35ebbeb68e3c5a135cee98dc5027599e76b',
+    ('pop-probed-exact', 1): '49dcac20db0957eaed592ae1a3b24a8bbb3c5135d50bda9f8ae499989551e1b1',
+    ('pop-probed-exact', 2): '49dcac20db0957eaed592ae1a3b24a8bbb3c5135d50bda9f8ae499989551e1b1',
     ('stream-clean', 1): 'abadb0b27c871d0ac75c48f852123d7e03eb57e74c9d48de247f706fdfaa742c',
     ('stream-clean', 2): '9f5a35339d5c861fecdce1ddac4aedc327f488711a3792cd6a0791d9159d8c7a',
     ('stream-intercepted', 1): 'f63487b4a9470ee04ecd0b1f0aafc118f8131617a06bd086c539655e9607008f',

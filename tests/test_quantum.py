@@ -22,19 +22,16 @@ from orthosim.quantum import (
     StateVector,
     apply_channel,
     apply_single_qubit_gate,
-    apply_two_qubit_gate,
     basis_state,
     bell_measure,
     dense_encode,
     density,
     holevo_information,
-    measure_qubit,
     partial_trace,
     permute_qubits,
     probe_interact,
     reduced_state,
     ry,
-    sample_channel,
     singlet,
     von_neumann_entropy,
 )
@@ -186,51 +183,6 @@ def test_gate_argument_errors():
     state = singlet()
     with pytest.raises(QuantumValidationError):
         apply_single_qubit_gate(state, PAULI_X, 2)
-    with pytest.raises(QuantumValidationError):
-        apply_two_qubit_gate(state, np.eye(4), 1, 1)
-
-
-def test_two_qubit_gate_against_matrix_oracle():
-    # controlled gate with control qubit 1, target qubit 0 on a product state
-    rng = np.random.default_rng(5)
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    state = StateVector(v / np.linalg.norm(v))
-    cnot_local = np.eye(4, dtype=complex)
-    cnot_local[2:, 2:] = PAULI_X
-    got = apply_two_qubit_gate(state, cnot_local, 1, 0)
-    # oracle: build the full matrix by summing projector branches
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    full = kron_op(p0, 1, 2) + kron_op(p1, 1, 2) @ kron_op(PAULI_X, 0, 2)
-    np.testing.assert_allclose(got.amplitudes, full @ state.amplitudes, atol=1e-12)
-
-
-# ---------------------------------------------------------------- measurement
-
-
-def test_measure_qubit_bases():
-    rng = np.random.default_rng(2)
-    plus = StateVector(np.array([S2, S2]))
-    for _ in range(50):
-        outcome, post = measure_qubit(plus, 0, "X", rng)
-        assert outcome == 0
-        np.testing.assert_allclose(post.amplitudes, plus.amplitudes, atol=1e-12)
-    trials = 40_000
-    ones = sum(measure_qubit(plus, 0, "Z", rng)[0] for _ in range(trials))
-    assert_frequency(ones, trials, 0.5, 5.0)
-    with pytest.raises(QuantumValidationError):
-        measure_qubit(plus, 0, "Y", rng)
-
-
-def test_measurement_collapse_repeats():
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        outcome1, post = measure_qubit(singlet(), 0, "Z", rng)
-        outcome2, _ = measure_qubit(post, 0, "Z", rng)
-        assert outcome1 == outcome2
-        # the partner collapses opposite
-        partner, _ = measure_qubit(post, 1, "Z", rng)
-        assert partner == 1 - outcome1
 
 
 # ---------------------------------------------------------------- reductions
@@ -447,27 +399,26 @@ def test_bit_flip_error_rate():
     p = 0.23
     out = apply_channel(basis_state(1, 0), NoiseChannel("bit-flip", p), 0)
     assert float(out.matrix[1, 1].real) == pytest.approx(p, abs=1e-12)
-    # trajectory sampling reproduces the same rate
+    # the engine's trajectories reproduce the same rate
     rng = np.random.default_rng(77)
     trials = 50_000
-    flips = 0
-    channel = NoiseChannel("bit-flip", p)
-    for _ in range(trials):
-        state = sample_channel(basis_state(1, 0), channel, 0, rng)
-        flips += int(abs(state.amplitudes[1]) > 0.5)
+    reg = QuantumRegistry()
+    pairs = reg.allocate(basis_state(2, 0), trials)
+    reg.apply_noise(pairs, 0, NoiseChannel("bit-flip", p), rng)
+    flips = int(reg.measure(pairs, 0, "Z", rng).sum())
     assert_frequency(flips, trials, p, 5.0)
 
 
 def test_trajectories_average_to_exact_channel():
     rng = np.random.default_rng(123)
     channel = NoiseChannel("depolarizing", 0.4)
-    exact = apply_channel(basis_state(1, 0), channel, 0).matrix
-    acc = np.zeros((2, 2), dtype=complex)
+    exact = apply_channel(basis_state(2, 0), channel, 0).matrix
     trials = 60_000
-    for _ in range(trials):
-        state = sample_channel(basis_state(1, 0), channel, 0, rng)
-        acc += np.outer(state.amplitudes, state.amplitudes.conj())
-    np.testing.assert_allclose(acc / trials, exact, atol=0.01)
+    reg = QuantumRegistry()
+    pairs = reg.allocate(basis_state(2, 0), trials)
+    reg.apply_noise(pairs, 0, channel, rng)
+    amps = np.array([reg.state_vector(pair).amplitudes for pair in pairs])
+    np.testing.assert_allclose(amps.T @ amps.conj() / trials, exact, atol=0.01)
 
 
 def test_channel_on_chosen_qubit_of_register():
