@@ -1,6 +1,6 @@
 """Simulation suite for orthogonal-state-based cryptographic protocols.
 
-Layered bottom-up: ``gpt`` (fiducial-table state space and gbits),
+Layered bottom-up: ``gpt`` (fiducial-table states as gbit blocks),
 ``quantum`` (small dense qubit simulator with Bell machinery and noise),
 ``transport`` (carriers, permutations, the eavesdropper-hookable
 channel), ``config`` (validated protocol configurations), ``metrics``
@@ -41,17 +41,10 @@ from orthosim.config import (
 )
 from orthosim.gpt import (
     FiducialSpec,
+    GbitBlock,
     GptError,
-    GptState,
     GptValidationError,
-    PrBox,
-    PureGbit,
-    distinguishing_fiducial,
-    embed_qubit,
-    gbit_pure,
     measure_fiducial,
-    mix,
-    pr_box_sample,
     sample_outcome,
 )
 from orthosim.metrics import (
@@ -66,7 +59,6 @@ from orthosim.metrics import (
     check_qsdc_condition,
     information_crossing,
     mutual_information,
-    observed_error_rate,
     probe_family_sweep,
 )
 from orthosim.protocols import (
@@ -104,18 +96,13 @@ from orthosim.quantum import (
     von_neumann_entropy,
 )
 from orthosim.transport import (
-    Carrier,
     Channel,
     EveHook,
-    GbitCarrier,
     ParticleBlock,
     Permutation,
     Transcript,
     TranscriptRecord,
     TransportError,
-    partial_unscramble,
-    reveal_permutation,
-    unscramble,
 )
 
 __version__ = "0.1.0"

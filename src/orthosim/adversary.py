@@ -1,8 +1,8 @@
 """Eavesdropper strategies and their analytics.
 
-Channel hooks implementing fiducial intercept-resend on gbits, projective
-intercept-resend on quantum particle blocks, and per-particle entangling
-probes, plus the closed-form escape probability, perfect-matching
+Channel hooks implementing fiducial intercept-resend on gbit blocks,
+projective intercept-resend on quantum particle blocks, and per-particle
+entangling probes, plus the closed-form escape probability, perfect-matching
 machinery for pairing attacks on permuted blocks, and exact Holevo
 evaluations of the eavesdropper's information in streaming versus
 permuted-block transmission.
@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .gpt import measure_fiducial
+from .gpt import GbitBlock, measure_fiducial
 from .quantum import (
     DensityMatrix,
     ProbeAttackSpec,
@@ -28,7 +28,7 @@ from .quantum import (
     reduced_state,
     singlet,
 )
-from .transport import Carrier, EveHook, GbitCarrier, ParticleBlock
+from .transport import EveHook, ParticleBlock
 
 __all__ = [
     "AdversaryError",
@@ -113,7 +113,12 @@ def escape_probability(num_fiducials: int, num_outcomes: int, rounds: int) -> fl
 def escape_probability_checked(
     num_fiducials: int, num_outcomes: int, rounds: int, check_fraction: float
 ) -> float:
-    """Escape probability when only a fraction of rounds face a check."""
+    """Escape probability when each of ``rounds`` rounds is exposed
+    (attacked and checked) independently with probability check_fraction.
+
+    The per-run reports pass the attacked rounds and the check fraction;
+    escape tallies pass the checked rounds and the attack fraction.
+    """
     if not 0.0 <= check_fraction <= 1.0:
         raise AdversaryError(f"check fraction must lie in [0, 1], got {check_fraction}")
     if num_fiducials < 1 or num_outcomes < 2 or rounds < 0:
@@ -135,10 +140,11 @@ def _validate_fraction(attack_fraction: float) -> float:
 class GltInterceptResend(EveHook):
     """Measure passing gbits in a uniformly chosen fiducial each.
 
-    The post-measurement state is forwarded, so every other fiducial row
-    is uniformized; observations hold (fiducial, outcome) per attacked
-    round. With attack_fraction < 1, each carrier is attacked
-    independently with that probability and passed through otherwise.
+    The post-measurement block is forwarded, so every other fiducial row
+    is uniformized. Each intercepted block adds one (fiducials, outcomes)
+    pair of arrays to observations; with attack_fraction < 1, each gbit
+    is attacked independently with that probability and passed through
+    otherwise.
     """
 
     strategy = "glt-intercept-resend"
@@ -147,20 +153,21 @@ class GltInterceptResend(EveHook):
         super().__init__()
         self.rng = rng
         self.attack_fraction = _validate_fraction(attack_fraction)
-        self.observations: list[tuple[int, int]] = []
+        self.observations: list[tuple[np.ndarray, np.ndarray]] = []
+        self.rounds_attacked = 0
 
-    def intercept(self, carrier: Carrier) -> Carrier:
+    def intercept(self, carrier):
         super().intercept(carrier)
-        if not isinstance(carrier, GbitCarrier):
-            raise AdversaryError("fiducial intercept-resend needs a gbit carrier")
-        if self.attack_fraction < 1.0 and self.rng.random() >= self.attack_fraction:
-            return carrier
-        state = carrier.state
-        # uniform fiducial via a raw double: hot path, bias O(2^-53)
-        fiducial = int(self.rng.random() * state.spec.num_fiducials)
-        outcome, post = measure_fiducial(state, fiducial, self.rng)
-        self.observations.append((fiducial, outcome))
-        return GbitCarrier(post)
+        if not isinstance(carrier, GbitBlock):
+            raise AdversaryError("fiducial intercept-resend needs a gbit block")
+        attacked = np.arange(len(carrier))
+        if self.attack_fraction < 1.0:
+            attacked = np.flatnonzero(self.rng.random(len(carrier)) < self.attack_fraction)
+        fiducials = self.rng.integers(0, carrier.spec.num_fiducials, size=attacked.size)
+        outcomes, post = measure_fiducial(carrier.take(attacked), fiducials, self.rng)
+        self.observations.append((fiducials, outcomes))
+        self.rounds_attacked += attacked.size
+        return carrier.put(attacked, post)
 
 
 class QuantumInterceptResend(EveHook):
@@ -186,7 +193,7 @@ class QuantumInterceptResend(EveHook):
         self.observations: list[tuple[np.ndarray, np.ndarray]] = []
         self.rounds_attacked = 0
 
-    def intercept(self, carrier: Carrier) -> Carrier:
+    def intercept(self, carrier):
         super().intercept(carrier)
         if not isinstance(carrier, ParticleBlock):
             raise AdversaryError("projective intercept-resend needs a particle block")
@@ -219,7 +226,7 @@ class ProbeAttack(EveHook):
         self.probes: list[ParticleBlock] = []
         self.rounds_attacked = 0
 
-    def intercept(self, carrier: Carrier) -> Carrier:
+    def intercept(self, carrier):
         super().intercept(carrier)
         if not isinstance(carrier, ParticleBlock):
             raise AdversaryError("probe attack needs a particle block")

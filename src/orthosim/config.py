@@ -30,6 +30,7 @@ __all__ = [
     "derive_seed",
     "dump_config",
     "load_config",
+    "max_message_length",
     "message_capacity",
     "protocol_class",
     "repetition_length",
@@ -68,6 +69,14 @@ def message_capacity(block_size: int, threshold: float) -> int:
     if block_size < 1:
         raise ConfigValidationError([f"block_size must be positive, got {block_size}"])
     return math.floor(2 * block_size * (1.0 - binary_entropy(threshold)))
+
+
+def max_message_length(block_size: int, threshold: float) -> int:
+    """Longest runnable message at N pairs and design error rate e0: at
+    most the capacity, and only as many bits as their repetition code
+    fits in the 2N coded slots."""
+    fit = (2 * block_size) // repetition_length(threshold)
+    return min(message_capacity(block_size, threshold), fit)
 
 
 def repetition_length(threshold: float, max_failure: float = _REPETITION_FAILURE_BOUND) -> int:
@@ -254,22 +263,15 @@ class ProtocolConfig:
             out.append("message must hold at least one bit")
             return out
         try:
-            capacity = message_capacity(self.block_size, self.threshold)
+            limit = max_message_length(self.block_size, self.threshold)
         except ConfigValidationError as err:
             return out + err.diagnostics
-        if len(self.message_bits) > capacity:
+        if len(self.message_bits) > limit:
             out.append(
-                f"message length {len(self.message_bits)} exceeds capacity {capacity}"
-                f" = floor(2N(1-h(e0))) at N={self.block_size}, e0={self.threshold}"
-            )
-        try:
-            r = repetition_length(self.threshold)
-        except ConfigValidationError as err:
-            return out + err.diagnostics
-        if r * len(self.message_bits) > 2 * self.block_size:
-            out.append(
-                f"repetition code length {r} x {len(self.message_bits)} bits"
-                f" does not fit the 2N = {2 * self.block_size} coded slots"
+                f"message length {len(self.message_bits)} exceeds capacity {limit} at"
+                f" N={self.block_size}, e0={self.threshold}: a longer message either exceeds"
+                f" floor(2N(1-h(e0))) bits or its repetition code does not fit the"
+                f" 2N = {2 * self.block_size} coded slots"
             )
         return out
 

@@ -37,7 +37,6 @@ __all__ = [
     "check_qsdc_condition",
     "information_crossing",
     "mutual_information",
-    "observed_error_rate",
     "probe_family_sweep",
 ]
 
@@ -59,15 +58,6 @@ def binary_entropy(e: float) -> float:
     if e == 0.0 or e == 1.0:
         return 0.0
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
-
-
-def observed_error_rate(disagreements: int, comparisons: int) -> float:
-    """Fraction of compared symbols that disagreed."""
-    if comparisons <= 0:
-        raise MetricsError("error rate needs at least one comparison")
-    if not 0 <= disagreements <= comparisons:
-        raise MetricsError("disagreements must lie in [0, comparisons]")
-    return disagreements / comparisons
 
 
 @dataclass(frozen=True)

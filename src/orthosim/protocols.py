@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,11 +37,11 @@ from .config import (
     ProtocolConfig,
     config_digest,
     derive_seed,
-    message_capacity,
+    max_message_length,
     protocol_class,
     repetition_length,
 )
-from .gpt import gbit_pure, sample_outcome
+from .gpt import GbitBlock, sample_outcome
 from .metrics import (
     SecurityVerdict,
     binary_entropy,
@@ -50,14 +49,7 @@ from .metrics import (
     check_qsdc_condition,
 )
 from .quantum import BellOutcome, ProbeAttackSpec, QuantumRegistry, singlet
-from .transport import (
-    Channel,
-    EveHook,
-    GbitCarrier,
-    ParticleBlock,
-    Permutation,
-    Transcript,
-)
+from .transport import Channel, EveHook, ParticleBlock, Transcript
 
 __all__ = [
     "EscapeEstimate",
@@ -199,60 +191,88 @@ def _mean(events: Sequence[bool]) -> float:
     return sum(events) / len(events) if events else 0.0
 
 
+def _package(
+    config: ProtocolConfig,
+    channel: Channel,
+    hook: Optional[EveHook],
+    aborted: bool,
+    error_rate: float,
+    alice_payload: tuple[int, ...],
+    bob_payload: tuple[int, ...],
+    events: tuple[bool, ...],
+    eve_info: Optional[float],
+    error_rate_second: Optional[float] = None,
+    **report_fields,
+) -> RunResult:
+    """One run's RunResult, with an AttackReport when an adversary was
+    attached and a verdict whenever the eavesdropper's information per
+    payload bit (eve_info) is known."""
+    report = None
+    if hook is not None:
+        report = AttackReport(
+            strategy=hook.strategy,
+            rounds_attacked=hook.rounds_attacked,
+            detection_events=events,
+            empirical_detection=_mean(events),
+            eve_information=eve_info,
+            **report_fields,
+        )
+    verdict = None
+    if eve_info is not None:
+        legitimate = 1.0 - binary_entropy(error_rate)
+        if config.kind == "pop-qsdc":
+            verdict = check_qsdc_condition(
+                error_rate, config.threshold, legitimate, eve_info, config.block_size
+            )
+        else:
+            verdict = check_qkd_condition(error_rate, config.threshold, legitimate, eve_info)
+    return RunResult(
+        kind=config.kind,
+        outcome="aborted" if aborted else "completed",
+        error_rate=error_rate,
+        threshold=config.threshold,
+        alice_payload=alice_payload,
+        bob_payload=bob_payload,
+        detection_events=events,
+        transcript=channel.transcript,
+        verdict=verdict,
+        attack_report=report,
+        error_rate_second=error_rate_second,
+        security_class=protocol_class(config),
+    )
+
+
 # ---------------------------------------------------------------- GLT-2S
 
 
-@lru_cache(maxsize=256)
-def _glt_codewords(theory) -> tuple:
-    # the two codeword tables per theory are immutable, share them
-    j, k = theory.num_fiducials, theory.num_outcomes
-    return gbit_pure(theory, (0,) * j), gbit_pure(theory, (k - 1,) * j)
+def _glt_exchange(config: ProtocolConfig, rng, rng_eve, trials: int):
+    """``trials`` independent gbit exchanges with their public checks, run
+    over one channel as one block.
 
-
-def _glt_exchange(config: ProtocolConfig, rng, rng_eve):
-    """One full gbit exchange plus public check over fresh channel state.
-
-    Returns (channel, hook, bits, outcomes, check_coords, events); the
-    callers decide what to package from that.
+    Returns (channel, hook, bits, outcomes, check_coords, events); every
+    array has one row per trial: codeword bits and Bob's outcomes are
+    (trials, n), the sorted check coordinates and their detection events
+    (trials, round(f * n)).
     """
     hook = _build_hook(config, rng_eve)
     channel = Channel(eve_hook=hook)
     theory = config.fiducial
-    j, k = theory.num_fiducials, theory.num_outcomes
-    n = config.num_gbits
-    codewords = _glt_codewords(theory)
+    top = theory.num_outcomes - 1
+    shape = (trials, config.num_gbits)
 
-    if n <= 64:
-        # raw doubles beat array draws at small n (bias O(2^-53))
-        bits = [int(rng.random() * 2) for _ in range(n)]
-    else:
-        bits = [int(b) for b in rng.integers(0, 2, size=n)]
-    carriers = [GbitCarrier(codewords[b]) for b in bits]
-    delivered = channel.send_block(carriers, Permutation.identity(n), sender="alice")
+    bits = rng.integers(0, 2, size=shape)
+    sent = GbitBlock(theory, bits * top)
+    delivered = channel.send_block(sent, None, sender="alice")
+    fiducials = rng.integers(0, theory.num_fiducials, size=len(delivered))
+    outcomes = sample_outcome(delivered, fiducials, rng).reshape(shape)
 
-    if n <= 64:
-        fiducials = [int(rng.random() * j) for _ in range(n)]
-    else:
-        fiducials = [int(f) for f in rng.integers(0, j, size=n)]
-    outcomes = [
-        sample_outcome(c.state, f, rng) for c, f in zip(delivered, fiducials)
-    ]
-
-    num_checks = round(config.check_fraction * n)
-    if num_checks == n:
-        check_coords = list(range(n))
-    else:
-        check_coords = sorted(
-            int(c) for c in rng.choice(n, size=num_checks, replace=False)
-        )
+    num_checks = round(config.check_fraction * config.num_gbits)
+    check_coords = np.sort(np.argsort(rng.random(shape), axis=1)[:, :num_checks], axis=1)
+    checked = np.take_along_axis(outcomes, check_coords, axis=1)
     channel.broadcast(check_coords, "alice", f"check coords n={num_checks}")
-    channel.broadcast(
-        [outcomes[c] for c in check_coords], "bob", f"check outcomes n={num_checks}"
-    )
+    channel.broadcast(checked, "bob", f"check outcomes n={num_checks}")
     # codewords are deterministic in every fiducial, so expectation is exact
-    events = tuple(
-        outcomes[c] != (0 if bits[c] == 0 else k - 1) for c in check_coords
-    )
+    events = checked != np.take_along_axis(bits, check_coords, axis=1) * top
     return channel, hook, bits, outcomes, check_coords, events
 
 
@@ -272,53 +292,32 @@ def run_glt2s(config: ProtocolConfig, seed: Optional[int] = None) -> RunResult:
         raise ConfigValidationError([f"run_glt2s got kind {config.kind!r}"])
     rng, rng_eve, _ = _rng_streams(config, config.seed if seed is None else seed)
     channel, hook, bits, outcomes, check_coords, events = _glt_exchange(
-        config, rng, rng_eve
+        config, rng, rng_eve, trials=1
     )
     theory = config.fiducial
-    j, k = theory.num_fiducials, theory.num_outcomes
     n = config.num_gbits
-    num_checks = len(check_coords)
-    error_rate = _mean(events)
+    num_checks = check_coords.shape[1]
+    error_rate = int(events.sum()) / num_checks
     aborted = error_rate > config.threshold
 
-    check_set = set(check_coords)
     if aborted:
         alice_key = bob_key = ()
     else:
-        alice_key = tuple(bits[i] for i in range(n) if i not in check_set)
-        bob_key = tuple(
-            int(outcomes[i] == k - 1) for i in range(n) if i not in check_set
-        )
+        kept = np.ones(n, dtype=bool)
+        kept[check_coords[0]] = False
+        alice_key = tuple(bits[0, kept].tolist())
+        bob_key = tuple((outcomes[0, kept] == theory.num_outcomes - 1).astype(int).tolist())
 
-    report = None
-    eve_info = 0.0
+    eve_info, escape = 0.0, None
     if hook is not None:
-        attacked = len(hook.observations)
         # each attacked codeword is read exactly (separable in any fiducial)
-        eve_info = attacked / n
-        report = AttackReport(
-            strategy=hook.strategy,
-            rounds_attacked=attacked,
-            detection_events=events,
-            empirical_detection=error_rate,
-            analytic_escape=escape_probability_checked(j, k, attacked, num_checks / n),
-            eve_information=eve_info,
+        eve_info = hook.rounds_attacked / n
+        escape = escape_probability_checked(
+            theory.num_fiducials, theory.num_outcomes, hook.rounds_attacked, num_checks / n
         )
-    verdict = check_qkd_condition(
-        error_rate, config.threshold, 1.0 - binary_entropy(error_rate), eve_info
-    )
-    return RunResult(
-        kind=config.kind,
-        outcome="aborted" if aborted else "completed",
-        error_rate=error_rate,
-        threshold=config.threshold,
-        alice_payload=alice_key,
-        bob_payload=bob_key,
-        detection_events=events,
-        transcript=channel.transcript,
-        verdict=verdict,
-        attack_report=report,
-        security_class=protocol_class(config),
+    return _package(
+        config, channel, hook, aborted, error_rate, alice_key, bob_key,
+        tuple(events[0].tolist()), eve_info, analytic_escape=escape,
     )
 
 
@@ -344,13 +343,14 @@ def glt_escape_trials(
 ) -> EscapeEstimate:
     """Escape-frequency estimate over repeated full gbit exchanges.
 
-    Each trial executes the complete exchange (encoding, channel with
-    any attached adversary, measurement, public check); escape means no
+    Each trial is a complete exchange (encoding, channel with any
+    attached adversary, measurement, public check); escape means no
     checked coordinate disagreed, independent of the abort threshold.
-    All trials share one stream pair, so the tally is reproducible from
-    (config, seed) and large counts stay cheap. The analytic reference
-    assumes every round is attacked, with the same partial-check
-    approximation the per-run reports use.
+    All trials run as one block on one stream pair, so the tally is
+    reproducible from (config, seed) and large counts stay cheap. The
+    analytic reference is exact: each of the round(f * n) checked gbits
+    is attacked independently with the attack fraction a (0 without an
+    adversary) and then caught with probability (J-1)/J * (K-1)/K.
     """
     config.ensure_valid()
     if config.kind != "glt2s":
@@ -358,17 +358,15 @@ def glt_escape_trials(
     if trials < 1:
         raise ProtocolError(f"trials must be positive, got {trials}")
     rng, rng_eve, _ = _rng_streams(config, config.seed if seed is None else seed)
-    escapes = 0
-    for _ in range(trials):
-        events = _glt_exchange(config, rng, rng_eve)[5]
-        escapes += not any(events)
+    events = _glt_exchange(config, rng, rng_eve, trials)[5]
+    escapes = trials - int(events.any(axis=1).sum())
     theory = config.fiducial
-    n = config.num_gbits
+    attack = 0.0 if config.adversary is None else config.adversary.attack_fraction
     analytic = escape_probability_checked(
         theory.num_fiducials,
         theory.num_outcomes,
-        n,
-        round(config.check_fraction * n) / n,
+        round(config.check_fraction * config.num_gbits),
+        attack,
     )
     return EscapeEstimate(trials=trials, escapes=escapes, analytic=analytic)
 
@@ -427,37 +425,13 @@ def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunRes
         alice_key = tuple(alice_bits[kept].ravel().tolist())
         bob_key = tuple(bob_bits[kept].ravel().tolist())
 
-    report = None
     eve_info: Optional[float] = 0.0
-    if hook is not None:
-        if isinstance(hook, ProbeAttack):
-            eve_info = stream_eve_information(hook.spec.theta) / 2.0
-        else:
-            eve_info = None  # no closed form tracked for intercept-resend
-        report = AttackReport(
-            strategy=hook.strategy,
-            rounds_attacked=hook.rounds_attacked,
-            detection_events=events,
-            empirical_detection=_mean(events),
-            eve_information=eve_info,
-        )
-    verdict = None
-    if eve_info is not None:
-        verdict = check_qkd_condition(
-            error_rate, config.threshold, 1.0 - binary_entropy(error_rate), eve_info
-        )
-    return RunResult(
-        kind=config.kind,
-        outcome="aborted" if aborted else "completed",
-        error_rate=error_rate,
-        threshold=config.threshold,
-        alice_payload=alice_key,
-        bob_payload=bob_key,
-        detection_events=events,
-        transcript=channel.transcript,
-        verdict=verdict,
-        attack_report=report,
-        security_class=protocol_class(config),
+    if isinstance(hook, ProbeAttack):
+        eve_info = stream_eve_information(hook.spec.theta) / 2.0
+    elif hook is not None:
+        eve_info = None  # no closed form tracked for intercept-resend
+    return _package(
+        config, channel, hook, aborted, error_rate, alice_key, bob_key, events, eve_info
     )
 
 
@@ -529,68 +503,16 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
     channel.broadcast(np.sort(compared).tolist(), "bob", f"compared checks n={num_compared}")
     error_first = wrong_first / (2 * num_compared)
 
-    def finish(outcome_kind, alice_payload, bob_payload, events, error_second=None):
-        report = None
-        eve_info = 0.0
-        if hook is not None:
-            if isinstance(hook, ProbeAttack):
-                eve_info = (
-                    pop_eve_information(hook.spec.theta, n_pairs) / 2.0
-                    if n_pairs <= _POP_ENUMERATION_LIMIT
-                    else None
-                )
-            else:
-                eve_info = None
-            report = AttackReport(
-                strategy=hook.strategy,
-                rounds_attacked=hook.rounds_attacked,
-                detection_events=events,
-                empirical_detection=_mean(events),
-                eve_information=eve_info,
-            )
-            if config.adversary.guess_pairing and outcome_kind == "completed":
-                # message pair p: half 1 in block 1, half 0 at its retained index
-                truth = zip(
-                    position[message_pairs, 1].tolist(),
-                    (len(block1) + message_index).tolist(),
-                )
-                guess = permutation_attack(
-                    list(truth),
-                    rng_eve,
-                    trials=1,
-                    theta=hook.spec.theta if isinstance(hook, ProbeAttack) else None,
-                )
-                report = replace(
-                    report,
-                    guess_success_analytic=guess.guess_success_analytic,
-                    guess_success_empirical=guess.guess_success_empirical,
-                )
-        verdict = None
-        if eve_info is not None:
-            verdict = check_qsdc_condition(
-                error_first,
-                config.threshold,
-                1.0 - binary_entropy(error_first),
-                eve_info,
-                n_pairs,
-            )
-        return RunResult(
-            kind=config.kind,
-            outcome=outcome_kind,
-            error_rate=error_first,
-            threshold=config.threshold,
-            alice_payload=alice_payload,
-            bob_payload=bob_payload,
-            detection_events=events,
-            transcript=channel.transcript,
-            verdict=verdict,
-            attack_report=report,
-            error_rate_second=error_second,
-            security_class=protocol_class(config),
-        )
-
+    eve_info: Optional[float] = 0.0
+    if isinstance(hook, ProbeAttack) and n_pairs <= _POP_ENUMERATION_LIMIT:
+        eve_info = pop_eve_information(hook.spec.theta, n_pairs) / 2.0
+    elif hook is not None:
+        eve_info = None
     if error_first > config.threshold:
-        return finish("aborted", (), (), tuple(events_first.tolist()))
+        return _package(
+            config, channel, hook, True, error_first, (), (),
+            tuple(events_first.tolist()), eve_info,
+        )
 
     # (d) repetition-code the message and dense-encode on N retained halves
     coded = np.zeros(2 * n_pairs, dtype=np.int64)
@@ -613,7 +535,9 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
     error_second = wrong_second / (2 * num_compared)
     events = tuple(events_first.tolist() + events_second.tolist())
     if error_second > max(error_first, config.threshold):
-        return finish("aborted", (), (), events, error_second)
+        return _package(
+            config, channel, hook, True, error_first, (), (), events, eve_info, error_second
+        )
 
     reveal3 = dict(zip(
         message_pairs.tolist(),
@@ -633,7 +557,26 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
         _majority(decoded_stream[i * code_len : (i + 1) * code_len])
         for i in range(len(message))
     )
-    return finish("completed", tuple(message), bob_message, events, error_second)
+    guess_fields = {}
+    if hook is not None and config.adversary.guess_pairing:
+        # message pair p: half 1 in block 1, half 0 at its retained index
+        truth = zip(
+            position[message_pairs, 1].tolist(), (len(block1) + message_index).tolist()
+        )
+        guess = permutation_attack(
+            list(truth),
+            rng_eve,
+            trials=1,
+            theta=hook.spec.theta if isinstance(hook, ProbeAttack) else None,
+        )
+        guess_fields = dict(
+            guess_success_analytic=guess.guess_success_analytic,
+            guess_success_empirical=guess.guess_success_empirical,
+        )
+    return _package(
+        config, channel, hook, False, error_first, tuple(message), bob_message, events,
+        eve_info, error_second, **guess_fields,
+    )
 
 
 # ---------------------------------------------------------------- dispatch
@@ -669,9 +612,7 @@ def block_reduce(config: ProtocolConfig) -> ProtocolConfig:
         raise ConfigValidationError(
             [f"block reduction expects a stream-qkd config, got {config.kind!r}"]
         )
-    capacity = message_capacity(config.block_size, config.threshold)
-    fit = (2 * config.block_size) // repetition_length(config.threshold)
-    length = min(capacity, fit)
+    length = max_message_length(config.block_size, config.threshold)
     return ProtocolConfig(
         kind="pop-qsdc",
         seed=config.seed,
@@ -697,9 +638,7 @@ def key_reduce(config: ProtocolConfig, key_length: int) -> ProtocolConfig:
         raise ConfigValidationError(
             [f"key reduction expects a pop-qsdc config, got {config.kind!r}"]
         )
-    capacity = message_capacity(config.block_size, config.threshold)
-    fit = (2 * config.block_size) // repetition_length(config.threshold)
-    limit = min(capacity, fit)
+    limit = max_message_length(config.block_size, config.threshold)
     if not 1 <= key_length <= limit:
         raise ConfigValidationError(
             [f"key_length {key_length} outside the runnable range [1, {limit}]"]

@@ -3,40 +3,34 @@
 An authenticated classical channel (readable but not writable by the
 adversary), a tamperable carrier channel with an adversary interposition
 hook, permuted block transmission, and line-oriented transcript logging.
-Carriers are either gbit values, sent as a list, or a block of pair
-halves addressed by index arrays into one batched pair engine.
+Carriers travel as whole blocks: a gbit block (``gpt.GbitBlock``), or
+pair halves addressed by index arrays into one batched pair engine.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .gpt import GptState
+from .gpt import GbitBlock
 from .quantum import NoiseChannel, QuantumRegistry
 
 __all__ = [
-    "Carrier",
     "Channel",
     "EveHook",
-    "GbitCarrier",
     "ParticleBlock",
     "Permutation",
     "Transcript",
     "TranscriptRecord",
     "TransportError",
-    "partial_unscramble",
-    "reveal_permutation",
-    "unscramble",
 ]
 
 
 class TransportError(ValueError):
-    """Raised for channel misuse: bad permutations, reused carriers."""
+    """Raised for channel misuse: bad permutations, duplicate particles."""
 
 
 # ---------------------------------------------------------------- permutations
@@ -64,7 +58,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, size: int) -> "Permutation":
-        return _identity_permutation(size)
+        return cls(tuple(range(size)))
 
     @classmethod
     def random(cls, size: int, rng: np.random.Generator) -> "Permutation":
@@ -88,54 +82,7 @@ class Permutation:
         return Permutation(tuple(other.mapping[j] for j in self.mapping))
 
 
-@lru_cache(maxsize=1024)
-def _identity_permutation(size: int) -> Permutation:
-    # shared instances: Permutation is frozen and identity blocks recur
-    return Permutation(tuple(range(size)))
-
-
-def reveal_permutation(
-    perm: Permutation, coordinates: Optional[Iterable[int]] = None
-) -> dict[int, int]:
-    """Classical pairing reveal: original coordinate -> delivery position.
-
-    With coordinates given, reveals only those original coordinates
-    (partial reveal for check rounds); otherwise the full placement.
-    """
-    inverse = perm.inverse().mapping
-    if coordinates is None:
-        return {j: inverse[j] for j in range(perm.size)}
-    out = {}
-    for j in coordinates:
-        if not 0 <= j < perm.size:
-            raise TransportError(f"coordinate {j} outside block of size {perm.size}")
-        out[int(j)] = inverse[j]
-    return out
-
-
-def unscramble(received: Sequence, perm: Permutation) -> list:
-    """Undo a permuted delivery: result[j] is the carrier sent as j."""
-    return perm.inverse().apply(received)
-
-
-def partial_unscramble(
-    received: Sequence, perm: Permutation, coordinates: Iterable[int]
-) -> dict[int, object]:
-    """Recover only the revealed coordinates from a permuted delivery."""
-    placement = reveal_permutation(perm, coordinates)
-    if len(received) != perm.size:
-        raise TransportError("received block does not match permutation size")
-    return {j: received[pos] for j, pos in placement.items()}
-
-
 # ---------------------------------------------------------------- carriers
-
-
-@dataclass(frozen=True)
-class GbitCarrier:
-    """A gbit in transit, carried by value."""
-
-    state: GptState
 
 
 @dataclass(frozen=True)
@@ -164,10 +111,8 @@ class ParticleBlock:
         return ParticleBlock(self.registry, self.pairs[index], self.qubits[index])
 
 
-Carrier = Union[GbitCarrier, ParticleBlock]
-
-# transcript label of a quantum particle, stable across engine designs
-_PARTICLE_KIND = "ParticleCarrier"
+# transcript label of each carrier kind, stable across engine designs
+_CARRIER_KINDS = {GbitBlock: "GbitCarrier", ParticleBlock: "ParticleCarrier"}
 
 
 # ---------------------------------------------------------------- adversary hook
@@ -176,9 +121,8 @@ _PARTICLE_KIND = "ParticleCarrier"
 class EveHook:
     """Adversary interposition point on the carrier channel.
 
-    The channel hands over each gbit carrier, or each particle block as
-    a whole, in transit (delivery) order and never exposes the
-    permutation; classical broadcasts are observed read-only. The base
+    The channel hands over each block of carriers as a whole, in
+    transit (delivery) order, and never exposes the permutation; classical broadcasts are observed read-only. The base
     class is a transparent wiretap that records its inputs so tests can
     audit exactly what the adversary saw.
     """
@@ -186,7 +130,7 @@ class EveHook:
     def __init__(self) -> None:
         self.input_trace: list = []
 
-    def intercept(self, carrier: Carrier) -> Carrier:
+    def intercept(self, carrier: GbitBlock | ParticleBlock) -> GbitBlock | ParticleBlock:
         self.input_trace.append(carrier)
         return carrier
 
@@ -290,33 +234,42 @@ class Channel:
 
     def send_block(
         self,
-        carriers: Union[Sequence[GbitCarrier], ParticleBlock],
-        perm: Union[Permutation, np.ndarray, None],
+        carriers: GbitBlock | ParticleBlock,
+        perm: Optional[np.ndarray],
         sender: str = "alice",
         stream: bool = False,
-    ) -> Union[list[GbitCarrier], ParticleBlock]:
-        """Deliver carriers in permuted order through Eve and noise.
+    ) -> GbitBlock | ParticleBlock:
+        """Deliver a block of carriers in permuted order through Eve and noise.
 
-        Gbits travel as a list under a Permutation.  A ParticleBlock
-        travels whole: perm is a gather index array or None (order
-        kept), and Eve and the noise each act once on the block.  stream=True logs one record per particle, as a stream of
-        one-particle sends, instead of one for the block.
+        The block travels whole: perm is a gather index array or None
+        (order kept), and Eve and the noise each act once on the block.
+        stream=True logs one record per carrier, as a stream of
+        one-carrier sends, instead of one for the block.
         """
-        if isinstance(carriers, ParticleBlock):
-            transit = self._send_particles(carriers, perm)
-            kind = _PARTICLE_KIND
-        else:
-            if perm.size != len(carriers):
+        kind = _CARRIER_KINDS[type(carriers)]
+        if self.noise is not None and isinstance(carriers, GbitBlock):
+            raise TransportError("quantum channel noise cannot act on gbit carriers")
+        block = carriers
+        if perm is not None:
+            index = np.asarray(perm, dtype=np.intp)
+            if index.shape != (len(block),) or not np.array_equal(
+                np.sort(index), np.arange(len(block))
+            ):
                 raise TransportError(
-                    f"permutation size {perm.size} != block size {len(carriers)}"
+                    f"perm is not a permutation of the {len(block)}-carrier block"
                 )
-            transit = perm.apply(list(carriers))
-            if self.eve_hook is not None:
-                transit = [self.eve_hook.intercept(c) for c in transit]
-            if self.noise is not None and transit:
-                raise TransportError("quantum channel noise cannot act on gbit carriers")
-            kind = ",".join(sorted({type(c).__name__ for c in transit}))
-        count, size = (len(transit), 1) if stream else (1, len(transit))
+            block = block.take(index)
+        if (
+            isinstance(block, ParticleBlock)
+            and len(block)
+            and np.bincount(block.pairs * 4 + block.qubits).max() > 1
+        ):
+            raise TransportError("a particle appears twice in one block")
+        if self.eve_hook is not None:
+            block = self.eve_hook.intercept(block)
+        if self.noise is not None:
+            block.registry.apply_noise(block.pairs, block.qubits, self.noise, self.noise_rng)
+        count, size = (len(block), 1) if stream else (1, len(block))
         payload = f"block len={size} kinds={kind}"
         for _ in range(count):
             self.transcript.append(
@@ -324,24 +277,6 @@ class Channel:
                     self._next_round(), "carrier", sender, payload, self.eve_hook is not None
                 )
             )
-        return transit
-
-    def _send_particles(self, block: ParticleBlock, perm) -> ParticleBlock:
-        if perm is not None:
-            index = np.asarray(perm, dtype=np.intp)
-            if index.shape != (len(block),) or not np.array_equal(
-                np.sort(index), np.arange(len(block))
-            ):
-                raise TransportError(
-                    f"perm is not a permutation of the {len(block)}-particle block"
-                )
-            block = block.take(index)
-        if len(block) and np.bincount(block.pairs * 4 + block.qubits).max() > 1:
-            raise TransportError("a particle appears twice in one block")
-        if self.eve_hook is not None:
-            block = self.eve_hook.intercept(block)
-        if self.noise is not None:
-            block.registry.apply_noise(block.pairs, block.qubits, self.noise, self.noise_rng)
         return block
 
     def broadcast(self, payload: object, sender: str, description: str) -> object:

@@ -22,7 +22,7 @@ from orthosim.adversary import (
     sample_matching,
     stream_eve_information,
 )
-from orthosim.gpt import FiducialSpec, gbit_pure, sample_outcome
+from orthosim.gpt import FiducialSpec, GbitBlock, sample_outcome
 from orthosim.metrics import JointCounts, mutual_information
 from orthosim.quantum import (
     BellOutcome,
@@ -35,7 +35,7 @@ from orthosim.quantum import (
     holevo_information,
     singlet,
 )
-from orthosim.transport import GbitCarrier, ParticleBlock
+from orthosim.transport import ParticleBlock
 from conftest import assert_frequency
 
 S2 = 1.0 / math.sqrt(2)
@@ -124,26 +124,20 @@ def test_glt_intercept_learns_codewords_exactly():
     # fiducial choice reads the bit deterministically: one full bit per gbit
     spec = FiducialSpec(2, 2)
     hook = GltInterceptResend(np.random.default_rng(1))
-    pairs = []
-    for i in range(2000):
-        bit = i % 2
-        codeword = gbit_pure(spec, (0, 0) if bit == 0 else (1, 1))
-        hook.intercept(GbitCarrier(codeword))
-        _, outcome = hook.observations[-1]
-        pairs.append((bit, outcome))
+    bits = np.arange(2000) % 2
+    hook.intercept(GbitBlock(spec, bits))
+    _, outcomes = hook.observations[-1]
+    pairs = list(zip(bits.tolist(), outcomes.tolist()))
     assert mutual_information(JointCounts.from_pairs(pairs)) == pytest.approx(1.0, abs=1e-12)
-    assert len(hook.observations) == 2000
+    assert len(outcomes) == hook.rounds_attacked == 2000
 
 
 def test_glt_intercept_learns_codewords_general_spec():
     spec = FiducialSpec(3, 4)
     hook = GltInterceptResend(np.random.default_rng(2))
-    pairs = []
-    for i in range(1200):
-        bit = i % 2
-        codeword = gbit_pure(spec, (0, 0, 0) if bit == 0 else (3, 3, 3))
-        hook.intercept(GbitCarrier(codeword))
-        pairs.append((bit, hook.observations[-1][1]))
+    bits = np.arange(1200) % 2
+    hook.intercept(GbitBlock(spec, bits * 3))
+    pairs = list(zip(bits.tolist(), hook.observations[-1][1].tolist()))
     counts = JointCounts.from_pairs(pairs, num_symbols=4)
     assert mutual_information(counts) == pytest.approx(1.0, abs=1e-12)
 
@@ -151,13 +145,25 @@ def test_glt_intercept_learns_codewords_general_spec():
 def test_glt_intercept_disturbance_pattern():
     spec = FiducialSpec(2, 2)
     hook = GltInterceptResend(np.random.default_rng(3))
-    for _ in range(50):
-        forwarded = hook.intercept(GbitCarrier(gbit_pure(spec, (0, 0))))
-        fiducial, outcome = hook.observations[-1]
-        assert outcome == 0
-        rows = forwarded.state.probs
-        assert rows[fiducial] == (1.0, 0.0)
-        assert rows[1 - fiducial] == (0.5, 0.5)
+    forwarded = hook.intercept(GbitBlock(spec, np.zeros(50, dtype=int)))
+    fiducials, outcomes = hook.observations[-1]
+    assert (outcomes == 0).all()
+    # the measured row is a point mass at the outcome, the other uniform
+    assert (forwarded.fiducials == fiducials).all()
+    assert (forwarded.outcomes == 0).all()
+
+
+def test_glt_intercept_attack_fraction():
+    hook = GltInterceptResend(np.random.default_rng(15), attack_fraction=0.3)
+    trials = 20_000
+    forwarded = hook.intercept(GbitBlock(FiducialSpec(3, 3), np.full(trials, 2)))
+    assert_frequency(hook.rounds_attacked, trials, 0.3, 5.0)
+    fiducials, outcomes = hook.observations[-1]
+    assert len(fiducials) == len(outcomes) == hook.rounds_attacked
+    measured = forwarded.fiducials >= 0
+    assert int(measured.sum()) == hook.rounds_attacked
+    assert (forwarded.fiducials[measured] == fiducials).all()
+    assert (forwarded.outcomes == 2).all()  # codewords read exactly or left pristine
 
 
 def test_glt_intercept_rejects_particles():
@@ -176,13 +182,10 @@ def test_detection_decomposition():
     for j, k in ((2, 2), (3, 2), (2, 3), (3, 4)):
         spec = FiducialSpec(j, k)
         hook = GltInterceptResend(rng)
-        detected = 0
-        for i in range(trials):
-            assignment = (0,) * j if i % 2 == 0 else (k - 1,) * j
-            carrier = hook.intercept(GbitCarrier(gbit_pure(spec, assignment)))
-            fiducial = int(rng.integers(0, j))
-            outcome = sample_outcome(carrier.state, fiducial, rng)
-            detected += int(outcome != assignment[fiducial])
+        values = (np.arange(trials) % 2) * (k - 1)
+        block = hook.intercept(GbitBlock(spec, values))
+        outcomes = sample_outcome(block, rng.integers(0, j, size=trials), rng)
+        detected = int((outcomes != values).sum())
         expected = ((j - 1) / j) * ((k - 1) / k)
         assert_frequency(detected, trials, expected, 5.0)
 
@@ -286,7 +289,7 @@ def test_quantum_intercept_validation():
         QuantumInterceptResend("Y", np.random.default_rng(0))
     hook = QuantumInterceptResend("Z", np.random.default_rng(0))
     with pytest.raises(AdversaryError):
-        hook.intercept(GbitCarrier(gbit_pure(FiducialSpec(2, 2), (0, 0))))
+        hook.intercept(GbitBlock(FiducialSpec(2, 2), [0]))
 
 
 # ---------------------------------------------------------------- probe attack
@@ -323,7 +326,7 @@ def test_probe_attack_copies_computational_bits():
 def test_probe_attack_rejects_gbits():
     hook = ProbeAttack(ProbeAttackSpec(0.3))
     with pytest.raises(AdversaryError):
-        hook.intercept(GbitCarrier(gbit_pure(FiducialSpec(2, 2), (0, 0))))
+        hook.intercept(GbitBlock(FiducialSpec(2, 2), [0]))
 
 
 # ---------------------------------------------------------------- Holevo evaluations

@@ -21,6 +21,10 @@ CONFIGS = {
         kind="glt2s", fiducial=FiducialSpec(3, 2), num_gbits=40, threshold=1.0,
         adversary=AdversarySpec("glt-intercept-resend"),
     ),
+    "glt2s-partial": ProtocolConfig(
+        kind="glt2s", fiducial=FiducialSpec(2, 3), num_gbits=40, check_fraction=0.5,
+        threshold=1.0, adversary=AdversarySpec("glt-intercept-resend", attack_fraction=0.5),
+    ),
     "stream-clean": ProtocolConfig(kind="stream-qkd", block_size=40),
     "stream-noisy": ProtocolConfig(
         kind="stream-qkd", block_size=40, threshold=0.2,
@@ -56,10 +60,12 @@ SEEDS = (1, 2)
 # clean and exactly scored pop-qsdc documents hold no seed-dependent field,
 # so their two seeds share a digest
 GOLDEN = {
-    ('glt2s-attacked', 1): 'ef4a7a872c3c0f4e9b4e301706d4ffe9bbe99dcbe928ac4a1e01e67e4f85ccb0',
-    ('glt2s-attacked', 2): '53cbc49203c2f9a51e452cefd241bbf9aea4d9b88d78cdd363ead9dbf9140189',
-    ('glt2s-clean', 1): '0a72fd5c2e80709866422dc88d4823070183c283fddadb08aa5b6732c664db9c',
-    ('glt2s-clean', 2): '43afe8e1f5f016dde38a7c15a9e6a480fc2353cf57007492bb4ee6d1705ec4a3',
+    ('glt2s-attacked', 1): '2ded3075e77d7ce378fe2611991267ba30c8ef66151b3ff68c1fb57ca1636859',
+    ('glt2s-attacked', 2): 'e704b022805c34c51da583949d30891cdbb0848ac19cfb0b393b9bb0610afb22',
+    ('glt2s-clean', 1): '3cd077e4ec292cb003427a4c8b20496a8a9c05a5bc563d7fb45898a1990795f4',
+    ('glt2s-clean', 2): '487c2e0d2908eeb140017e938c4662cae6c1c1cff97097b1c4380aada7bb8447',
+    ('glt2s-partial', 1): '681939244e50476636ec17dcdb8edacaf3325206908c94bdf6389680672121b4',
+    ('glt2s-partial', 2): '9625f01e9c7fe85c4bdc5153cd300bc04c6f8363e51dee3177a7b029e758bb51',
     ('pop-clean', 1): 'ec4209f994db799371a1464a64f7b34c6e4d637a43b0dac79c5b524bf2ef87f3',
     ('pop-clean', 2): 'ec4209f994db799371a1464a64f7b34c6e4d637a43b0dac79c5b524bf2ef87f3',
     ('pop-noisy', 1): 'a1be7741d69a50a2bdf165ea0bd41e2cb2cf1302a669bb69d4d03b048a317190',

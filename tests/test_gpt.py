@@ -1,22 +1,15 @@
-import math
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthosim.gpt import (
     FiducialSpec,
-    GptState,
+    GbitBlock,
     GptValidationError,
-    PrBox,
-    PureGbit,
-    distinguishing_fiducial,
-    embed_qubit,
-    gbit_pure,
     measure_fiducial,
-    mix,
-    pr_box_sample,
     sample_outcome,
 )
 from conftest import assert_frequency
@@ -32,67 +25,61 @@ def specs_strategy():
     )
 
 
-def assignment_strategy(spec):
-    return st.tuples(
-        *[st.integers(0, spec.num_outcomes - 1) for _ in range(spec.num_fiducials)]
-    )
+class PresetDraws:
+    """Generator stand-in whose integers() returns preset uniform draws,
+    so a test can enumerate every value each draw can take."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws)
+
+    def integers(self, low, high, size):
+        assert low == 0 and size == self.draws.size and self.draws.max() < high
+        return self.draws
 
 
-# ---------------------------------------------------------------- pure gbits
+def random_codewords(spec, rng, size):
+    return GbitBlock(spec, rng.integers(0, spec.num_outcomes, size=size))
 
 
-def test_two_two_pure_gbit_tables():
-    # the four definite-outcome states of the minimal theory, rows (X, Z)
-    expected = {
-        (0, 0): ((1.0, 0.0), (1.0, 0.0)),
-        (0, 1): ((1.0, 0.0), (0.0, 1.0)),
-        (1, 0): ((0.0, 1.0), (1.0, 0.0)),
-        (1, 1): ((0.0, 1.0), (0.0, 1.0)),
-    }
-    for assignment, table in expected.items():
-        assert gbit_pure(TWO_TWO, assignment).probs == table
+# ---------------------------------------------------------------- codewords
 
 
 def test_classical_bit_is_the_j1_theory():
     spec = FiducialSpec(1, 2)
-    assert gbit_pure(spec, (0,)).probs == ((1.0, 0.0),)
-    assert gbit_pure(spec, (1,)).probs == ((0.0, 1.0),)
+    rng = np.random.default_rng(0)
+    block = GbitBlock(spec, [0, 1])
+    assert sample_outcome(block, 0, rng).tolist() == [0, 1]
+    outcomes, post = measure_fiducial(block, 0, rng)
+    assert outcomes.tolist() == [0, 1]
+    assert sample_outcome(post, 0, rng).tolist() == [0, 1]  # nothing left to disturb
 
 
 def test_pure_gbit_rejects_out_of_range_assignment():
     with pytest.raises(GptValidationError):
-        gbit_pure(TWO_TWO, (0, 2))
+        GbitBlock(TWO_TWO, [0, 2])
     with pytest.raises(GptValidationError):
-        gbit_pure(TWO_TWO, (0,))
+        GbitBlock(TWO_TWO, [0, -1])
+    with pytest.raises(GptValidationError):
+        GbitBlock(TWO_TWO, [0, 1], fiducials=[0, 2])
 
 
 @given(seed=st.integers(0, 2**32 - 1), spec=specs_strategy())
 def test_pure_gbit_rows_are_point_masses(seed, spec):
+    # a pristine codeword answers every fiducial with its value
     rng = np.random.default_rng(seed)
-    assignment = tuple(int(a) for a in rng.integers(0, spec.num_outcomes, spec.num_fiducials))
-    state = gbit_pure(spec, assignment)
-    for mu, row in enumerate(state.probs):
-        assert row[assignment[mu]] == 1.0
-        assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
+    block = random_codewords(spec, rng, 50)
+    for mu in range(spec.num_fiducials):
+        assert (sample_outcome(block, mu, rng) == block.outcomes).all()
 
 
 # ---------------------------------------------------------------- validation
 
 
-def test_state_row_normalization_enforced():
-    with pytest.raises(GptValidationError):
-        GptState(TWO_TWO, ((0.6, 0.6), (1.0, 0.0)))
-    with pytest.raises(GptValidationError):
-        GptState(TWO_TWO, ((1.2, -0.2), (1.0, 0.0)))
-    # within tolerance is fine
-    GptState(TWO_TWO, ((0.5 + 4e-13, 0.5 - 4e-13), (1.0, 0.0)))
-
-
 def test_state_shape_enforced():
-    with pytest.raises(GptValidationError):
-        GptState(TWO_TWO, ((1.0, 0.0),))
-    with pytest.raises(GptValidationError):
-        GptState(TWO_TWO, ((1.0, 0.0, 0.0), (1.0, 0.0)))
+    with pytest.raises(ValueError):
+        GbitBlock(TWO_TWO, [0, 1, 0], fiducials=[0, 1])
+    with pytest.raises(ValueError):
+        sample_outcome(GbitBlock(TWO_TWO, [0, 1]), [0, 1, 0], np.random.default_rng(0))
 
 
 def test_spec_bounds():
@@ -102,106 +89,62 @@ def test_spec_bounds():
         FiducialSpec(2, 1)
 
 
-# ---------------------------------------------------------------- mixtures
-
-
-def test_equal_mixture_of_fixed_x_gbits():
-    # both states answer X with outcome 0; Z becomes uniform in the mixture
-    g00 = gbit_pure(TWO_TWO, (0, 0))
-    g01 = gbit_pure(TWO_TWO, (0, 1))
-    mixed = mix([g00, g01], [0.5, 0.5])
-    assert mixed.probs == ((1.0, 0.0), (0.5, 0.5))
-
-
-def test_mix_identity_and_weight_errors():
-    g = gbit_pure(TWO_TWO, (1, 0))
-    assert mix([g], [1.0]).probs == g.probs
-    with pytest.raises(GptValidationError):
-        mix([g, g], [0.7, 0.7])
-    with pytest.raises(GptValidationError):
-        mix([g, g], [1.5, -0.5])
-    with pytest.raises(GptValidationError):
-        mix([g, gbit_pure(FiducialSpec(3, 2), (0, 0, 0))], [0.5, 0.5])
-
-
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    spec=specs_strategy(),
-    count=st.integers(1, 5),
-)
-@example(seed=3244, spec=FiducialSpec(3, 2), count=3)  # an entry rounded to 1 + 1ulp
-@settings(max_examples=60)
-def test_mix_closure_under_random_weights(seed, spec, count):
-    rng = np.random.default_rng(seed)
-    states = [
-        gbit_pure(spec, tuple(int(a) for a in rng.integers(0, spec.num_outcomes, spec.num_fiducials)))
-        for _ in range(count)
-    ]
-    raw = rng.random(count) + 1e-3
-    weights = (raw / raw.sum()).tolist()
-    mixed = mix(states, weights)  # constructor revalidates normalization
-    for row in mixed.probs:
-        assert abs(math.fsum(row) - 1.0) <= 1e-12
-
-
-# ---------------------------------------------------------------- qubit embedding
-
-
-def test_embed_qubit_tables():
-    assert embed_qubit("Z+").probs == ((0.5, 0.5), (0.5, 0.5), (1.0, 0.0))
-    assert embed_qubit("Z-").probs == ((0.5, 0.5), (0.5, 0.5), (0.0, 1.0))
-    assert embed_qubit("X+").probs == ((1.0, 0.0), (0.5, 0.5), (0.5, 0.5))
-    assert embed_qubit("Y-").probs == ((0.5, 0.5), (0.0, 1.0), (0.5, 0.5))
-    with pytest.raises(GptValidationError):
-        embed_qubit("Q+")
-
-
-def test_embedded_qubit_measurement_statistics():
-    # definite on its own axis, uniform on a conjugate axis
-    state = embed_qubit("Z+")
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        outcome, _ = measure_fiducial(state, 2, rng)
-        assert outcome == 0
-    trials = 100_000
-    ones = sum(sample_outcome(state, 0, rng) for _ in range(trials))
-    assert_frequency(ones, trials, 0.5, 5.0)
+def test_block_take_and_put():
+    block = GbitBlock(FiducialSpec(2, 4), [0, 1, 2, 3])
+    assert len(block) == 4
+    assert block.take([3, 0]).outcomes.tolist() == [3, 0]
+    measured = GbitBlock(block.spec, [2, 2], fiducials=[1, 1])
+    merged = block.put([0, 2], measured)
+    assert merged.outcomes.tolist() == [2, 1, 2, 3]
+    assert merged.fiducials.tolist() == [1, -1, 1, -1]
+    assert block.fiducials.tolist() == [-1] * 4  # the original is untouched
 
 
 # ---------------------------------------------------------------- measurement
 
 
+def test_embedded_qubit_measurement_statistics():
+    # a qubit's Z+ table under the (X, Y, Z) fiducials: definite on its
+    # own axis, uniform on a conjugate axis
+    spec = FiducialSpec(3, 2)
+    rng = np.random.default_rng(7)
+    z_plus = GbitBlock(spec, [0] * 200, fiducials=2)
+    outcomes, _ = measure_fiducial(z_plus, 2, rng)
+    assert (outcomes == 0).all()
+    trials = 100_000
+    ones = int(sample_outcome(GbitBlock(spec, [0] * trials, fiducials=2), 0, rng).sum())
+    assert_frequency(ones, trials, 0.5, 5.0)
+
+
 def test_measurement_disturbs_conjugate_rows():
-    # measuring X on the (1, 0) gbit gives outcome 1 surely and wipes Z
-    g = gbit_pure(TWO_TWO, (1, 0))
+    # measuring X on the value-1 codeword gives outcome 1 surely and wipes Z
     rng = np.random.default_rng(3)
-    outcome, post = measure_fiducial(g, 0, rng)
-    assert outcome == 1
-    assert post.probs == ((0.0, 1.0), (0.5, 0.5))
-    # the post state equals the even mixture of the two X=1 gbits
-    remix = mix([gbit_pure(TWO_TWO, (1, 0)), gbit_pure(TWO_TWO, (1, 1))], [0.5, 0.5])
-    assert post.probs == remix.probs
+    trials = 100_000
+    outcomes, post = measure_fiducial(GbitBlock(TWO_TWO, [1] * trials), 0, rng)
+    assert (outcomes == 1).all()
+    assert (post.fiducials == 0).all() and (post.outcomes == 1).all()
+    assert (sample_outcome(post, 0, rng) == 1).all()
+    assert_frequency(int(sample_outcome(post, 1, rng).sum()), trials, 0.5, 5.0)
 
 
 def test_measurement_fixed_point():
     # a state already of post-measurement form is reproduced exactly
-    state = GptState(TWO_TWO, ((1.0, 0.0), (0.5, 0.5)))
+    state = GbitBlock(TWO_TWO, [0], fiducials=[0])
     rng = np.random.default_rng(11)
-    outcome, post = measure_fiducial(state, 0, rng)
-    assert outcome == 0
-    assert post.probs == state.probs
+    outcomes, post = measure_fiducial(state, 0, rng)
+    assert outcomes.tolist() == [0]
+    assert post.outcomes.tolist() == state.outcomes.tolist()
+    assert post.fiducials.tolist() == state.fiducials.tolist()
 
 
 def test_measurement_statistics_and_disturbance_shape():
-    spec = FiducialSpec(2, 2)
-    g = gbit_pure(spec, (0, 0))
     rng = np.random.default_rng(5)
     trials = 100_000
-    for _ in range(trials // 100):
-        outcome, post = measure_fiducial(g, 1, rng)
-        assert outcome == 0
-        assert post.probs == ((0.5, 0.5), (1.0, 0.0))
-    ones = sum(sample_outcome(g, 1, rng) for _ in range(trials))
+    g = GbitBlock(TWO_TWO, [0] * trials)
+    outcomes, post = measure_fiducial(g, 1, rng)
+    assert (outcomes == 0).all()
+    assert (post.fiducials == 1).all() and (post.outcomes == 0).all()
+    ones = int(sample_outcome(g, 1, rng).sum())
     assert ones == 0  # the row is a point mass
 
 
@@ -210,98 +153,67 @@ def test_measurement_statistics_and_disturbance_shape():
 def test_measurement_repeatability(seed, spec):
     # measuring the same fiducial twice repeats the outcome surely
     rng = np.random.default_rng(seed)
-    assignment = tuple(int(a) for a in rng.integers(0, spec.num_outcomes, spec.num_fiducials))
-    mu = int(rng.integers(0, spec.num_fiducials))
-    state = gbit_pure(spec, assignment)
-    first, post = measure_fiducial(state, mu, rng)
+    block = random_codewords(spec, rng, 50)
+    mu = rng.integers(0, spec.num_fiducials, size=50)
+    first, post = measure_fiducial(block, mu, rng)
     second, post2 = measure_fiducial(post, mu, rng)
-    assert second == first
-    assert post2.probs == post.probs
+    assert (second == first).all()
+    assert (post2.outcomes == post.outcomes).all()
+    assert (post2.fiducials == post.fiducials).all()
 
 
 @given(seed=st.integers(0, 2**32 - 1), spec=specs_strategy())
 @settings(max_examples=60)
 def test_measurement_resets_unmeasured_rows(seed, spec):
+    # after measuring mu, every other fiducial's outcome is the uniform
+    # draw, whatever the codeword was; enumerate every draw value
     rng = np.random.default_rng(seed)
-    assignment = tuple(int(a) for a in rng.integers(0, spec.num_outcomes, spec.num_fiducials))
-    mu = int(rng.integers(0, spec.num_fiducials))
-    outcome, post = measure_fiducial(gbit_pure(spec, assignment), mu, rng)
-    k = spec.num_outcomes
-    for nu, row in enumerate(post.probs):
+    j, k = spec.num_fiducials, spec.num_outcomes
+    mu = int(rng.integers(0, j))
+    draws = np.arange(k)
+    block = GbitBlock(spec, np.full(k, rng.integers(0, k)))
+    outcomes, post = measure_fiducial(block, mu, rng)
+    assert (post.fiducials == mu).all() and (post.outcomes == outcomes).all()
+    for nu in range(j):
+        seen = sample_outcome(post, nu, PresetDraws(draws))
         if nu == mu:
-            assert row[outcome] == 1.0
+            assert (seen == outcomes).all()
         else:
-            assert row == ((1.0 / k,) * k)
+            assert sorted(seen.tolist()) == list(range(k))
 
 
 def test_measure_rejects_bad_fiducial():
-    g = gbit_pure(TWO_TWO, (0, 0))
+    g = GbitBlock(TWO_TWO, [0, 0])
     rng = np.random.default_rng(0)
     with pytest.raises(GptValidationError):
         measure_fiducial(g, 2, rng)
     with pytest.raises(GptValidationError):
-        measure_fiducial(g, -1, rng)
-
-
-# ---------------------------------------------------------------- distinguishability
-
-
-def test_distinguishing_fiducial_least_index():
-    g00 = PureGbit(TWO_TWO, (0, 0))
-    g01 = PureGbit(TWO_TWO, (0, 1))
-    g10 = PureGbit(TWO_TWO, (1, 0))
-    g11 = PureGbit(TWO_TWO, (1, 1))
-    assert distinguishing_fiducial(g00, g01) == 1
-    assert distinguishing_fiducial(g00, g10) == 0
-    assert distinguishing_fiducial(g00, g11) == 0  # tie broken to least index
-    assert distinguishing_fiducial(g00, g00) is None
+        measure_fiducial(g, [0, -1], rng)
     with pytest.raises(GptValidationError):
-        distinguishing_fiducial(g00, PureGbit(FiducialSpec(3, 2), (0, 0, 0)))
+        sample_outcome(g, [2, 0], rng)
 
 
-def test_distinguishing_fiducial_separates_in_one_shot():
-    # a single measurement of the returned fiducial tells the states apart
-    rng = np.random.default_rng(23)
-    a = PureGbit(TWO_TWO, (0, 1))
-    b = PureGbit(TWO_TWO, (1, 1))
-    mu = distinguishing_fiducial(a, b)
-    for _ in range(50):
-        oa, _ = measure_fiducial(a.to_state(), mu, rng)
-        ob, _ = measure_fiducial(b.to_state(), mu, rng)
-        assert oa != ob
-
-
-# ---------------------------------------------------------------- PR box
-
-
-def test_pr_box_definition_cases():
-    rng = np.random.default_rng(1)
-    for x in (0, 1):
-        for y in (0, 1):
-            for _ in range(100):
-                a, b = pr_box_sample(x, y, rng)
-                assert a ^ b == (x & y)
-
-
-def test_pr_box_uniform_marginals_and_no_signaling():
-    rng = np.random.default_rng(2)
-    trials = 100_000
-    box = PrBox()
-    # a's marginal must not depend on y (and symmetrically for b on x)
-    for x in (0, 1):
-        counts = {}
-        for y in (0, 1):
-            counts[y] = sum(box.sample(x, y, rng)[0] for _ in range(trials))
-            assert_frequency(counts[y], trials, 0.5, 5.0)
-    for y in (0, 1):
-        for x in (0, 1):
-            ones_b = sum(box.sample(x, y, rng)[1] for _ in range(trials))
-            assert_frequency(ones_b, trials, 0.5, 5.0)
-
-
-def test_pr_box_rejects_non_bits():
-    rng = np.random.default_rng(0)
-    with pytest.raises(GptValidationError):
-        pr_box_sample(2, 0, rng)
-    with pytest.raises(GptValidationError):
-        pr_box_sample(0, -1, rng)
+def test_block_model_matches_fiducial_table_rule():
+    # exact oracle: for every (J, K) in {2,3,4}^2, codeword value, Eve
+    # fiducial and Bob fiducial, enumerate both uniform draws and compare
+    # the joint outcome distribution with the fiducial-table rule
+    for j, k in itertools.product((2, 3, 4), repeat=2):
+        spec = FiducialSpec(j, k)
+        value, eve_fid, bob_fid, eve_draw, bob_draw = (
+            axis.ravel() for axis in np.indices((k, j, j, k, k))
+        )
+        block = GbitBlock(spec, value)
+        assert (sample_outcome(block, bob_fid, PresetDraws(bob_draw)) == value).all()
+        eve, post = measure_fiducial(block, eve_fid, PresetDraws(eve_draw))
+        bob = sample_outcome(post, bob_fid, PresetDraws(bob_draw))
+        model = np.zeros((k, j, j, k, k))
+        np.add.at(model, (value, eve_fid, bob_fid, eve, bob), 1.0 / k**2)
+        for v, mu, nu in itertools.product(range(k), range(j), range(j)):
+            table = np.zeros((j, k))
+            table[:, v] = 1.0  # the codeword: point mass at v in every row
+            expected = np.zeros((k, k))
+            for a in range(k):
+                measured = np.full((j, k), 1.0 / k)
+                measured[mu] = np.eye(k)[a]  # collapse the measured row
+                expected[a] = table[mu, a] * measured[nu]
+            np.testing.assert_allclose(model[v, mu, nu], expected, atol=1e-12)

@@ -16,7 +16,6 @@ from orthosim.metrics import (
     check_qsdc_condition,
     information_crossing,
     mutual_information,
-    observed_error_rate,
     probe_family_sweep,
 )
 
@@ -106,14 +105,6 @@ def test_from_pairs_counts_placement():
     assert counts.counts[0, 1] == 2
     assert counts.counts[1, 0] == 1
     assert counts.total == 3
-
-
-def test_observed_error_rate():
-    assert observed_error_rate(3, 12) == 0.25
-    with pytest.raises(MetricsError):
-        observed_error_rate(1, 0)
-    with pytest.raises(MetricsError):
-        observed_error_rate(5, 4)
 
 
 # ---------------------------------------------------------------- verdicts

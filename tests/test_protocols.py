@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
-from orthosim.adversary import pop_eve_information, stream_eve_information
+from orthosim.adversary import escape_probability, pop_eve_information, stream_eve_information
 from orthosim.config import (
     AdversarySpec,
     ConfigValidationError,
@@ -228,6 +229,48 @@ def test_escape_trials_rejects_bad_requests():
         glt_escape_trials(
             glt(f=1.0, adversary=AdversarySpec("glt-intercept-resend")), 0
         )
+
+
+@pytest.mark.parametrize("f, a", [(0.5, 1.0), (1.0, 0.5)])
+def test_escape_trials_reference_counts_checked_and_attacked_rounds(f, a):
+    # each of the round(f*n) checked gbits is attacked with probability a
+    # and then caught with probability 1/4, independently
+    cfg = glt(n=20, f=f, threshold=1.0,
+              adversary=AdversarySpec("glt-intercept-resend", attack_fraction=a))
+    trials = 20_000
+    est = glt_escape_trials(cfg, trials, seed=3)
+    assert est.analytic == (1.0 - a * 0.25) ** round(f * 20)
+    assert_frequency(est.escapes, trials, est.analytic, nsigma=5)
+
+
+def test_escape_trials_reference_is_bit_identical_at_full_check_and_attack():
+    for j, k, n in ((2, 2, 7), (3, 2, 10), (4, 3, 5)):
+        cfg = ProtocolConfig(
+            kind="glt2s", fiducial=FiducialSpec(j, k), num_gbits=n, check_fraction=1.0,
+            adversary=AdversarySpec("glt-intercept-resend"),
+        )
+        assert glt_escape_trials(cfg, 1, seed=0).analytic == escape_probability(j, k, n)
+
+
+def test_escape_deviations_are_calibrated_across_seeds():
+    # seed sweep: the standardized escape deviations of 200 derived seeds
+    # must look like N(0, 1), at a full-check and a partial-check point
+    points = {
+        "full": ProtocolConfig(
+            kind="glt2s", fiducial=FiducialSpec(3, 2), num_gbits=5, check_fraction=1.0,
+            adversary=AdversarySpec("glt-intercept-resend"),
+        ),
+        "partial": glt(n=10, f=0.5, threshold=1.0,
+                       adversary=AdversarySpec("glt-intercept-resend", attack_fraction=0.5)),
+    }
+    trials = 2000
+    for name, cfg in points.items():
+        deviations = []
+        for i in range(200):
+            est = glt_escape_trials(cfg, trials, seed=derive_seed(20261018, name, i))
+            deviations.append((est.escape_rate - est.analytic) / est.std_error)
+        result = kstest(deviations, "norm")
+        assert result.pvalue > 0.01, (name, result)
 
 
 # ---------------------------------------------------------------- aborts

@@ -5,29 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthosim.gpt import FiducialSpec, gbit_pure
+from orthosim.gpt import FiducialSpec, GbitBlock
 from orthosim.quantum import NoiseChannel, QuantumRegistry, singlet
 from orthosim.transport import (
     Channel,
     EveHook,
-    GbitCarrier,
     ParticleBlock,
     Permutation,
     Transcript,
     TranscriptRecord,
     TransportError,
-    partial_unscramble,
-    reveal_permutation,
-    unscramble,
 )
-
-TWO_TWO = FiducialSpec(2, 2)
 
 
 def tagged_gbits(n=4):
-    # the four pure 2-in-2-out gbits make distinguishable tags
-    tags = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    return [GbitCarrier(gbit_pure(TWO_TWO, tags[i % 4])) for i in range(n)]
+    # codeword values 0..n-1 of a 16-outcome theory make distinguishable tags
+    return GbitBlock(FiducialSpec(2, 16), np.arange(n))
 
 
 # ---------------------------------------------------------------- permutations
@@ -50,7 +43,6 @@ def test_identity_is_noop():
     perm = Permutation.identity(5)
     seq = list(range(5))
     assert perm.apply(seq) == seq
-    assert reveal_permutation(perm) == {j: j for j in range(5)}
 
 
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12))
@@ -61,7 +53,7 @@ def test_inverse_and_compose(seed, size):
     assert perm.compose(perm.inverse()).mapping == tuple(range(size))
     assert perm.inverse().compose(perm).mapping == tuple(range(size))
     seq = list(rng.integers(0, 100, size=size))
-    assert unscramble(perm.apply(seq), perm) == seq
+    assert perm.inverse().apply(perm.apply(seq)) == seq
 
 
 def test_apply_size_mismatch():
@@ -77,43 +69,14 @@ def test_random_permutation_covers_group():
     assert len(seen) == 6
 
 
-# ---------------------------------------------------------------- reveal
-
-
-def test_reveal_locates_originals():
-    perm = Permutation((2, 0, 3, 1))
-    placement = reveal_permutation(perm)
-    delivered = perm.apply(["p0", "p1", "p2", "p3"])
-    for original, position in placement.items():
-        assert delivered[position] == f"p{original}"
-
-
-def test_partial_reveal_only_requested_coordinates():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        perm = Permutation.random(8, rng)
-        originals = [f"c{i}" for i in range(8)]
-        delivered = perm.apply(originals)
-        coords = sorted(rng.choice(8, size=3, replace=False).tolist())
-        recovered = partial_unscramble(delivered, perm, coords)
-        assert sorted(recovered) == coords
-        for j in coords:
-            assert recovered[j] == originals[j]
-
-
-def test_reveal_rejects_bad_coordinates():
-    with pytest.raises(TransportError):
-        reveal_permutation(Permutation.identity(4), [4])
-
-
 # ---------------------------------------------------------------- channel sends
 
 
 def test_send_block_identity_no_hook():
     channel = Channel()
     carriers = tagged_gbits(4)
-    delivered = channel.send_block(carriers, Permutation.identity(4))
-    assert delivered == carriers
+    delivered = channel.send_block(carriers, None)
+    assert delivered.outcomes.tolist() == carriers.outcomes.tolist()
     assert len(channel.transcript.records) == 1
     record = channel.transcript.records[0]
     assert record.channel == "carrier" and not record.tampered
@@ -124,16 +87,12 @@ def test_hook_sees_transit_order_for_every_permutation():
     for mapping in itertools.permutations(range(4)):
         hook = EveHook()
         channel = Channel(eve_hook=hook)
-        perm = Permutation(mapping)
-        delivered = channel.send_block(carriers_copy(carriers), perm)
-        assert [c.state for c in hook.input_trace] == [c.state for c in delivered]
-        expected = [carriers[j].state for j in mapping]
-        assert [c.state for c in hook.input_trace] == expected
+        delivered = channel.send_block(carriers, np.array(mapping))
+        assert len(hook.input_trace) == 1  # one hook call for the block
+        assert hook.input_trace[0].outcomes.tolist() == delivered.outcomes.tolist()
+        assert hook.input_trace[0].outcomes.tolist() == list(mapping)
+        assert channel.transcript.records[-1].payload == "block len=4 kinds=GbitCarrier"
         assert channel.transcript.records[-1].tampered
-
-
-def carriers_copy(carriers):
-    return [GbitCarrier(c.state) for c in carriers]
 
 
 def test_conservation_of_carriers():
@@ -141,9 +100,9 @@ def test_conservation_of_carriers():
     channel = Channel()
     for size in (1, 4, 9):
         block = tagged_gbits(size)
-        delivered = channel.send_block(block, Permutation.random(size, rng))
+        delivered = channel.send_block(block, Permutation.random(size, rng).mapping)
         assert len(delivered) == size
-        assert sorted(id(c) for c in delivered) == sorted(id(c) for c in block)
+        assert sorted(delivered.outcomes.tolist()) == block.outcomes.tolist()
 
 
 def test_duplicate_particles_in_one_block_rejected():
@@ -186,7 +145,7 @@ def test_streamed_block_logs_one_record_per_particle():
 
 def test_block_size_must_match_permutation():
     with pytest.raises(TransportError):
-        Channel().send_block(tagged_gbits(3), Permutation.identity(4))
+        Channel().send_block(tagged_gbits(3), Permutation.identity(4).mapping)
 
 
 # ---------------------------------------------------------------- noise plumbing
@@ -199,7 +158,7 @@ def test_noise_requires_rng_and_quantum_carriers():
         noise=NoiseChannel("bit-flip", 0.1), noise_rng=np.random.default_rng(0)
     )
     with pytest.raises(TransportError):
-        channel.send_block(tagged_gbits(1), Permutation.identity(1))
+        channel.send_block(tagged_gbits(1), None)
 
 
 def test_full_strength_bit_flip_in_transit():
@@ -250,7 +209,7 @@ def test_round_indices_strictly_increase():
 
 def test_transcript_jsonl_roundtrip():
     channel = Channel()
-    channel.send_block(tagged_gbits(2), Permutation.identity(2))
+    channel.send_block(tagged_gbits(2), None)
     channel.broadcast([0, 1], sender="alice", description="bits n=2")
     text = channel.transcript.to_jsonl()
     assert text.count("\n") == 2
