@@ -1,7 +1,8 @@
 """Simulation suite for orthogonal-state-based cryptographic protocols.
 
 Layered bottom-up: ``gpt`` (fiducial-table states as gbit blocks),
-``quantum`` (small dense qubit simulator with Bell machinery and noise),
+``quantum`` (small dense qubit simulator with Bell machinery and noise,
+and the Pauli-frame pair engine),
 ``transport`` (carriers, permutations, the eavesdropper-hookable
 channel), ``config`` (validated protocol configurations), ``metrics``
 (entropies, information rates, security verdicts), ``adversary``
@@ -18,6 +19,7 @@ from orthosim.adversary import (
     QuantumInterceptResend,
     escape_probability,
     escape_probability_checked,
+    escape_probability_sampled,
     matching_count,
     perfect_matchings,
     permutation_attack,

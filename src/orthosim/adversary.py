@@ -38,6 +38,7 @@ __all__ = [
     "QuantumInterceptResend",
     "escape_probability",
     "escape_probability_checked",
+    "escape_probability_sampled",
     "matching_count",
     "perfect_matchings",
     "permutation_attack",
@@ -116,8 +117,9 @@ def escape_probability_checked(
     """Escape probability when each of ``rounds`` rounds is exposed
     (attacked and checked) independently with probability check_fraction.
 
-    The per-run reports pass the attacked rounds and the check fraction;
-    escape tallies pass the checked rounds and the attack fraction.
+    Escape tallies pass the checked rounds and the attack fraction, since
+    each gbit is attacked independently. A run's own report checks a
+    fixed number of coordinates; see escape_probability_sampled.
     """
     if not 0.0 <= check_fraction <= 1.0:
         raise AdversaryError(f"check fraction must lie in [0, 1], got {check_fraction}")
@@ -126,6 +128,30 @@ def escape_probability_checked(
     j, k = num_fiducials, num_outcomes
     per_round = 1.0 - check_fraction * ((j - 1) / j) * ((k - 1) / k)
     return per_round**rounds
+
+
+def escape_probability_sampled(
+    num_fiducials: int, num_outcomes: int, gbits: int, attacked: int, checks: int
+) -> float:
+    """Escape probability of a run that checks ``checks`` of its ``gbits``
+    coordinates, drawn without replacement, after ``attacked`` gbits were
+    attacked: E[(1 - p)^H] with p = (J-1)/J * (K-1)/K and H, the attacked
+    checked count, Hypergeometric(gbits, attacked, checks).  The pmf is
+    summed in log space from its term ratios, so large blocks stay cheap.
+    """
+    if not 0 <= attacked <= gbits or not 0 <= checks <= gbits:
+        raise AdversaryError(
+            f"need 0 <= attacked, checks <= gbits, got ({attacked}, {checks}, {gbits})"
+        )
+    survive = escape_probability(num_fiducials, num_outcomes, 1)
+    low, high = max(0, checks + attacked - gbits), min(attacked, checks)
+    if low == high:  # H is certain, e.g. when every coordinate is checked
+        return survive**low
+    h = np.arange(low, high, dtype=float)
+    ratio = (attacked - h) * (checks - h) / ((h + 1.0) * (gbits - attacked - checks + h + 1.0))
+    log_pmf = np.concatenate([[0.0], np.cumsum(np.log(ratio))])  # up to a constant
+    log_terms = log_pmf + np.arange(low, high + 1) * math.log(survive)
+    return math.exp(np.logaddexp.reduce(log_terms) - np.logaddexp.reduce(log_pmf))
 
 
 # ---------------------------------------------------------------- intercept-resend
@@ -213,25 +239,25 @@ class QuantumInterceptResend(EveHook):
 class ProbeAttack(EveHook):
     """Entangle a private probe with every passing particle.
 
-    Probes stay in the pair engine; probes holds one ParticleBlock of
-    them per intercepted block. Information extraction happens after the
-    public phase via the Holevo evaluators. Draws no randomness.
+    No protocol reads a probe, so the pair engine traces each one out as
+    it attaches: the half takes a Z flip with probability
+    (1 - cos theta)/2, drawn from rng. The attacker's information is
+    scored by the exact Holevo evaluators.
     """
 
     strategy = "probe"
 
-    def __init__(self, spec: ProbeAttackSpec) -> None:
+    def __init__(self, spec: ProbeAttackSpec, rng: np.random.Generator) -> None:
         super().__init__()
         self.spec = spec
-        self.probes: list[ParticleBlock] = []
+        self.rng = rng
         self.rounds_attacked = 0
 
     def intercept(self, carrier):
         super().intercept(carrier)
         if not isinstance(carrier, ParticleBlock):
             raise AdversaryError("probe attack needs a particle block")
-        taken = carrier.registry.attach_probe(carrier.pairs, carrier.qubits, self.spec)
-        self.probes.append(ParticleBlock(carrier.registry, carrier.pairs, taken))
+        carrier.registry.attach_probe(carrier.pairs, carrier.qubits, self.spec, self.rng)
         self.rounds_attacked += len(carrier)
         return carrier
 

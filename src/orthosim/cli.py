@@ -52,7 +52,7 @@ from .metrics import (
     check_qsdc_condition,
     probe_family_sweep,
 )
-from .protocols import RESULT_SCHEMA, run
+from .protocols import RESULT_SCHEMA, _glt_exchange, _rng_streams, run
 
 __all__ = [
     "BUILTINS",
@@ -204,16 +204,16 @@ def _builtin_escape_curve(trials: int, seed: int) -> list[ResultRow]:
             kind="glt2s", fiducial=FiducialSpec(2, 2), num_gbits=n,
             check_fraction=1.0,
             adversary=AdversarySpec("glt-intercept-resend"),
-        )
-        survived = errors = 0.0
-        for t in range(trials):
-            res = run(cfg, seed=derive_seed(seed, n, t))
-            survived += not any(res.detection_events)
-            errors += res.error_rate
+        ).ensure_valid()
+        # every trial is a full exchange of one block; with every gbit
+        # checked, a trial's error rate is the mean of its detection events
+        rng, rng_eve, _ = _rng_streams(cfg, derive_seed(seed, n))
+        events = _glt_exchange(cfg, rng, rng_eve, trials)[5]
+        survived = trials - int(events.any(axis=1).sum())
         logger.info("escape-curve n=%d done", n)
         rows.append(ResultRow(
             label="escape-curve", kind="glt2s", axis="num_gbits", value=n,
-            trials=trials, error_rate=errors / trials,
+            trials=trials, error_rate=float(events.mean(axis=1).mean()),
             detection_rate=1.0 - survived / trials,
             escape_analytic=escape_probability(2, 2, n), escape_empirical=survived / trials,
         ))

@@ -27,6 +27,7 @@ from .adversary import (
     ProbeAttack,
     QuantumInterceptResend,
     escape_probability_checked,
+    escape_probability_sampled,
     permutation_attack,
     pop_eve_information,
     stream_eve_information,
@@ -48,7 +49,7 @@ from .metrics import (
     check_qkd_condition,
     check_qsdc_condition,
 )
-from .quantum import BellOutcome, ProbeAttackSpec, QuantumRegistry, singlet
+from .quantum import BellOutcome, ProbeAttackSpec, QuantumRegistry
 from .transport import Channel, EveHook, ParticleBlock, Transcript
 
 __all__ = [
@@ -179,7 +180,7 @@ def _build_hook(config: ProtocolConfig, rng_eve: np.random.Generator) -> Optiona
         return GltInterceptResend(rng_eve, spec.attack_fraction)
     if spec.kind == "quantum-intercept-resend":
         return QuantumInterceptResend(spec.basis, rng_eve, spec.attack_fraction)
-    return ProbeAttack(ProbeAttackSpec(spec.theta))
+    return ProbeAttack(ProbeAttackSpec(spec.theta), rng_eve)
 
 
 def _build_channel(config: ProtocolConfig, hook, rng_noise) -> Channel:
@@ -312,8 +313,8 @@ def run_glt2s(config: ProtocolConfig, seed: Optional[int] = None) -> RunResult:
     if hook is not None:
         # each attacked codeword is read exactly (separable in any fiducial)
         eve_info = hook.rounds_attacked / n
-        escape = escape_probability_checked(
-            theory.num_fiducials, theory.num_outcomes, hook.rounds_attacked, num_checks / n
+        escape = escape_probability_sampled(
+            theory.num_fiducials, theory.num_outcomes, n, hook.rounds_attacked, num_checks
         )
     return _package(
         config, channel, hook, aborted, error_rate, alice_key, bob_key,
@@ -399,7 +400,7 @@ def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunRes
     registry = QuantumRegistry()
     rounds = config.block_size
 
-    pairs = registry.allocate(singlet(), rounds)
+    pairs = registry.allocate(rounds)
     alice_bits = rng.integers(0, 2, size=(rounds, 2))
     _dense_encode(registry, pairs, alice_bits)
     stream = ParticleBlock(registry, np.repeat(pairs, 2), np.tile([0, 1], rounds))
@@ -477,7 +478,7 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
     message = config.message_bits
     code_len = repetition_length(config.threshold)
 
-    pairs = registry.allocate(singlet(), total)
+    pairs = registry.allocate(total)
     check_pairs = np.sort(rng.choice(total, size=n_pairs, replace=False))
     is_check = np.zeros(total, dtype=bool)
     is_check[check_pairs] = True

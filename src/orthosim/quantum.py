@@ -1,13 +1,14 @@
 """Exact little-endian qubit engine.
 
 Amplitude index ``i`` encodes qubit ``q`` in bit ``(i >> q) & 1``, so qubit
-0 is the least significant bit.  Everything here is dense and exact, which
+0 is the least significant bit.  States here are dense and exact, which
 is why register sizes are capped at ``MAX_QUBITS``.
 
 Also houses the Bell-pair toolbox (singlet preparation, dense coding, Bell
 projection), the probe-interaction family used by eavesdropping models,
 memoryless noise channels, and :class:`QuantumRegistry`, the batched pair
-engine that holds every pair of a protocol run in one array.
+engine that holds each pair of a protocol run as a Pauli frame on a
+singlet or a product of eigenstates, a few integers per pair.
 """
 
 from __future__ import annotations
@@ -219,69 +220,30 @@ def dense_encode(two_bits: Sequence[int], pair: StateVector, which: int = 0) -> 
     return apply_single_qubit_gate(pair, op, which)
 
 
-def _project_bell(amps: np.ndarray, qubit_a: int, qubit_b: int, rng) -> tuple[int, np.ndarray]:
-    """Sample a Bell outcome on two qubits of a raw vector and collapse it."""
-    n = amps.size.bit_length() - 1
-    if qubit_a == qubit_b:
-        raise QuantumValidationError("bell measurement needs two distinct qubits")
-    axes = (_axis(n, qubit_a), _axis(n, qubit_b))
-    arr = np.moveaxis(amps.reshape([2] * n), axes, (0, 1)).reshape(4, -1)
-    coeffs = _BELL_BASIS.conj() @ arr              # (4, rest)
-    probs = np.einsum("kr,kr->k", coeffs, coeffs.conj()).real
-    total = float(probs.sum())
-    probs = probs / total
-    u = rng.random()
-    outcome = 3
-    acc = 0.0
-    for k in range(4):
-        acc += probs[k]
-        if u < acc:
-            outcome = k
-            break
-    residual = coeffs[outcome] / math.sqrt(max(float(probs[outcome]) * total, 1e-300))
-    post = np.outer(_BELL_BASIS[outcome], residual).reshape([2] * n)
-    post = np.moveaxis(post, (0, 1), axes).reshape(-1)
-    return outcome, post
-
-
 def bell_measure(state: StateVector, qubit_a: int, qubit_b: int, rng) -> tuple[BellOutcome, StateVector]:
     """Projective Bell-basis measurement of two qubits.
 
     Outcome probabilities follow the Born rule; the returned state is the
     renormalized projection (for a bare pair, the Bell state itself).
     """
-    outcome, post = _project_bell(state.amplitudes, qubit_a, qubit_b, rng)
+    n = state.num_qubits
+    if qubit_a == qubit_b:
+        raise QuantumValidationError("bell measurement needs two distinct qubits")
+    axes = (_axis(n, qubit_a), _axis(n, qubit_b))
+    arr = np.moveaxis(state.amplitudes.reshape([2] * n), axes, (0, 1)).reshape(4, -1)
+    coeffs = _BELL_BASIS.conj() @ arr              # (4, rest)
+    probs = np.einsum("kr,kr->k", coeffs, coeffs.conj()).real
+    total = float(probs.sum())
+    probs = probs / total
+    outcome = int((rng.random() >= np.cumsum(probs)[:3]).sum())
+    residual = coeffs[outcome] / math.sqrt(max(float(probs[outcome]) * total, 1e-300))
+    post = np.outer(_BELL_BASIS[outcome], residual).reshape([2] * n)
+    post = np.moveaxis(post, (0, 1), axes).reshape(-1)
     return BellOutcome(outcome), StateVector(post)
 
 
 def density(state: StateVector) -> DensityMatrix:
     return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()))
-
-
-def _partial_trace_raw(mat: np.ndarray, num_qubits: int, keep: Sequence[int]) -> np.ndarray:
-    keep_sorted = sorted(set(keep))
-    for q in keep_sorted:
-        _axis(num_qubits, q)
-    traced = [q for q in range(num_qubits) if q not in keep_sorted]
-    cur = mat
-    cur_n = num_qubits
-    for q in sorted(traced, reverse=True):
-        low = 2**q
-        high = 2 ** (cur_n - q - 1)
-        six = cur.reshape(high, 2, low, high, 2, low)
-        cur = np.einsum("abcdbf->acdf", six).reshape(2 ** (cur_n - 1), 2 ** (cur_n - 1))
-        cur_n -= 1
-    return cur
-
-
-def partial_trace(dm: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out all qubits not in ``keep``.
-
-    Kept qubits preserve their relative order and are renumbered from 0.
-    """
-    if len(set(keep)) == 0:
-        raise QuantumValidationError("keep must name at least one qubit")
-    return DensityMatrix(_partial_trace_raw(dm.matrix, dm.num_qubits, keep))
 
 
 def reduced_state(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
@@ -308,12 +270,6 @@ def _permute_qubits_raw(mat: np.ndarray, perm: Sequence[int]) -> np.ndarray:
     return (
         mat.reshape([2] * (2 * n)).transpose(order).reshape(mat.shape)
     )
-
-
-def permute_qubits(dm: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
-    """Density matrix with qubits relabeled so that new qubit ``j`` holds
-    what old qubit ``perm[j]`` held."""
-    return DensityMatrix(_permute_qubits_raw(dm.matrix, perm))
 
 
 def von_neumann_entropy(dm: DensityMatrix) -> float:
@@ -423,30 +379,23 @@ def apply_channel(state, channel: NoiseChannel, qubit: int) -> DensityMatrix:
 # --------------------------------------------------------------- probe family
 
 
-def _default_probe_state() -> StateVector:
-    return basis_state(1, 0)
-
-
 @dataclass(frozen=True)
 class ProbeAttackSpec:
     """One-parameter entangling-probe family.
 
-    The unitary acts on (system qubit, fresh probe qubit) as identity when
-    the system is 0 and as a rotation of the probe by ``2*theta`` when the
-    system is 1.  ``theta=0`` is transparent; ``theta=pi/2`` copies the
-    system's computational bit onto the probe.
+    The unitary acts on (system qubit, fresh probe qubit in ``|0>``) as
+    identity when the system is 0 and as a rotation of the probe by
+    ``2*theta`` when the system is 1.  ``theta=0`` is transparent;
+    ``theta=pi/2`` copies the system's computational bit onto the probe.
     """
 
     theta: float
-    probe_state: StateVector = field(default_factory=_default_probe_state)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.theta <= math.pi / 2 + 1e-12):
             raise QuantumValidationError(
                 f"theta {self.theta!r} outside [0, pi/2]"
             )
-        if self.probe_state.num_qubits != 1:
-            raise QuantumValidationError("probe must be a single qubit")
         u = self.unitary()
         if not np.allclose(u.conj().T @ u, np.eye(4), atol=1e-10, rtol=0.0):
             raise QuantumValidationError("probe unitary failed the unitarity check")
@@ -457,14 +406,11 @@ class ProbeAttackSpec:
 
 
 def probe_interact(system: StateVector, spec: ProbeAttackSpec, system_qubit: int = 0) -> StateVector:
-    """Append the probe as a fresh highest-index qubit and entangle it
-    with ``system_qubit`` via the attack's controlled rotation."""
-    joint = np.kron(spec.probe_state.amplitudes, system.amplitudes)
-    n = system.num_qubits + 1
-    if n > MAX_QUBITS:
-        raise ResourceLimitError(f"{n} qubits exceeds MAX_QUBITS={MAX_QUBITS}")
-    out = _apply_gate_vec(joint, spec.unitary(), [system_qubit, n - 1])
-    return StateVector(out)
+    """Append the probe as a fresh highest-index qubit in ``|0>`` and
+    entangle it with ``system_qubit`` via the attack's controlled rotation."""
+    joint = np.kron([1.0, 0.0], system.amplitudes)
+    n = system.num_qubits + 1  # StateVector enforces MAX_QUBITS
+    return StateVector(_apply_gate_vec(joint, spec.unitary(), [system_qubit, n - 1]))
 
 
 # --------------------------------------------------------------- pair engine
@@ -474,52 +420,43 @@ def probe_interact(system: StateVector, spec: ProbeAttackSpec, system_qubit: int
 # global phase i, which no measurement sees
 _PAULI_BITS = ((PAULI_I, 0, 0), (PAULI_X, 1, 0), (PAULI_Y, 1, 1), (PAULI_Z, 0, 1))
 
-_PAIR_QUBITS_MAX = 4  # two halves plus one probe on each
+# frame (x, z) of each BellOutcome: PHI+, PHI-, PSI+, PSI- = X^x Z^z (half 0) |PSI->
+_OUTCOME_FRAME = np.array([(1, 1), (1, 0), (0, 1), (0, 0)])
 
 
 class QuantumRegistry:
-    """Batched pair engine: every pair of a run in one amplitude array.
+    """Batched pair engine: every pair of a run as a few integers.
 
-    The array has shape ``(pairs, 2, ..., 2)``, one axis per qubit in the
-    little-endian order of this module: qubits 0 and 1 are the two halves
-    of every pair (the last two axes) and probes are the higher qubits.
-    A probe attach takes the pair's next free probe qubit, 2 and then 3
-    (within one call, half-0 particles before half-1 ones); the array
-    gains an axis when the first pair needs one, and pairs that never use
-    it hold ``|0>`` there.  Registers never span pairs.
+    Qubits 0 and 1 are a pair's halves. A pair is either a Bell frame
+    ``(x, z)``, the state X^x Z^z (half 0) |singlet>, whose bit x flips
+    the halves' Z correlation and z their X correlation, with basis -1 on
+    both halves; or, once a half is measured, a product of eigenstates: a
+    basis (0 = Z, 1 = X) and a value per half. Paulis and Z, X and Bell
+    measurements keep this exact (Pauli-frame tracking), and probes are
+    traced out as they attach.
 
-    Operations take index arrays, ``pairs`` and the ``qubits`` hit in
-    each (a scalar broadcasts), so one call acts on a whole block; a
-    (pair, qubit) may appear at most once per call.
+    Operations take index arrays, ``pairs`` and the halves hit in each
+    (a scalar broadcasts); a (pair, half) may appear once per call.
     """
 
     def __init__(self) -> None:
-        self._amps = np.zeros((0, 2, 2), dtype=complex)
-        self._probes = np.zeros(0, dtype=np.int8)  # probes attached per pair
+        self._frame = np.zeros((0, 2), dtype=np.int8)  # (x, z)
+        self._basis = np.zeros((0, 2), dtype=np.int8)  # per half
+        self._value = np.zeros((0, 2), dtype=np.int8)
 
     @property
     def num_pairs(self) -> int:
-        return self._amps.shape[0]
+        return self._frame.shape[0]
 
-    @property
-    def num_qubits(self) -> int:
-        return self._amps.ndim - 1
-
-    def _axis(self, qubit: int) -> int:
-        return self._amps.ndim - 1 - qubit
-
-    def allocate(self, state: StateVector, count: int = 1) -> np.ndarray:
-        """Add ``count`` pairs, each in the two-qubit ``state``; returns
-        their pair indices."""
-        if state.num_qubits != 2:
-            raise QuantumValidationError("the pair engine allocates two-qubit states")
+    def allocate(self, count: int = 1) -> np.ndarray:
+        """Add ``count`` singlets; returns their pair indices."""
         if count < 1:
             raise QuantumValidationError(f"count must be positive, got {count}")
-        block = np.zeros((count,) + self._amps.shape[1:], dtype=complex)
-        block[(slice(None),) + (0,) * (self.num_qubits - 2)] = state.amplitudes.reshape(2, 2)
         first = self.num_pairs
-        self._amps = np.concatenate([self._amps, block])
-        self._probes = np.concatenate([self._probes, np.zeros(count, dtype=np.int8)])
+        self._frame, self._basis, self._value = (
+            np.concatenate([a, np.full((count, 2), fill, a.dtype)])
+            for a, fill in ((self._frame, 0), (self._basis, -1), (self._value, 0))
+        )
         return np.arange(first, first + count)
 
     def _pairs(self, pairs) -> np.ndarray:
@@ -532,48 +469,33 @@ class QuantumRegistry:
         return pairs
 
     def _groups(self, pairs, qubits) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """Split a call's particles by qubit: (qubit, positions in the
-        call, pair indices)."""
+        """Split a call's particles by half, half 0 first: (half,
+        positions in the call, pair indices), all validated up front."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
         qubits = np.broadcast_to(np.asarray(qubits, dtype=np.intp), pairs.shape)
-        if pairs.size and (qubits.min() < 0 or qubits.max() >= self.num_qubits):
-            raise QuantumValidationError(f"qubit index outside [0, {self.num_qubits})")
+        if pairs.size and (qubits.min() < 0 or qubits.max() > 1):
+            raise QuantumValidationError("a pair holds qubits 0 and 1 only")
         groups = []
-        for qubit in range(self.num_qubits):
-            where = np.flatnonzero(qubits == qubit)
+        for half in (0, 1):
+            where = np.flatnonzero(qubits == half)
             if where.size:
-                groups.append((qubit, where, self._pairs(pairs[where])))
+                groups.append((half, where, self._pairs(pairs[where])))
         return groups
 
-    def state_vector(self, pair: int) -> StateVector:
-        """Copy of one pair's register, probes included."""
-        if not 0 <= pair < self.num_pairs:
-            raise QuantumValidationError(f"unknown pair {pair}")
-        return StateVector(self._amps[pair].reshape(-1).copy())
-
-    def reduced_density(self, pair: int, qubits: Sequence[int]) -> DensityMatrix:
-        """Reduced state of some qubits of one pair, with output qubit
-        ``j`` holding ``qubits[j]``."""
-        ascending = reduced_state(self.state_vector(pair), qubits)
-        order = sorted(qubits)
-        return permute_qubits(ascending, [order.index(q) for q in qubits])
-
     def apply_pauli(self, pairs, qubits, x, z) -> None:
-        """Apply X^x Z^z (Z first) to each listed qubit, with 0/1
-        exponents per particle.  Dense coding of the bits (b0, b1) is
-        (x, z) = (b1, b0) on a pair's half 0."""
+        """Apply X^x Z^z to each listed half, with 0/1 exponents per
+        particle.  Dense coding of the bits (b0, b1) is (x, z) = (b1, b0)
+        on a pair's half 0."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
-        x = np.broadcast_to(np.asarray(x, dtype=bool), pairs.shape)
-        z = np.broadcast_to(np.asarray(z, dtype=bool), pairs.shape)
-        for qubit, where, group in self._groups(pairs, qubits):
-            xs, zs = x[where], z[where]
-            if not (xs.any() or zs.any()):
-                continue
-            sub = self._amps[group]
-            bit = np.moveaxis(sub, self._axis(qubit), -1)  # view: last axis is the qubit
-            bit[zs, ..., 1] *= -1.0
-            bit[xs] = bit[xs][..., ::-1]
-            self._amps[group] = sub
+        xz = np.stack(np.broadcast_arrays(x, z, pairs)[:2], axis=1).astype(np.int8)
+        for half, where, group in self._groups(pairs, qubits):
+            product = self._basis[group, half] >= 0
+            # a Pauli on either half of a singlet is the same Pauli on
+            # half 0, up to a phase
+            self._frame[group[~product]] ^= xz[where[~product]]
+            # X flips a Z eigenstate and Z an X eigenstate
+            hit = group[product]
+            self._value[hit, half] ^= xz[where[product], self._basis[hit, half]]
 
     def apply_noise(self, pairs, qubits, channel: NoiseChannel, rng) -> None:
         """One stochastic trajectory of the channel on each listed qubit:
@@ -592,88 +514,57 @@ class QuantumRegistry:
     def measure(self, pairs, qubits, bases, rng) -> np.ndarray:
         """Projective measurement of each listed qubit in its basis, "Z"
         or "X" (X outcome 0 is the +1 eigenstate); returns the outcomes
-        and leaves each qubit in the observed eigenstate."""
+        and leaves each qubit in the observed eigenstate.  Outcome 1 is
+        ``draw >= p0``, one uniform per particle; half 0 collapses first.
+        """
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
         bases = np.broadcast_to(np.asarray(bases), pairs.shape)
         if not np.isin(bases, ("Z", "X")).all():
             raise QuantumValidationError(f"bases must be 'Z' or 'X', got {np.unique(bases)}")
         draws = rng.random(pairs.size)
         outcomes = np.empty(pairs.size, dtype=np.int8)
-        for qubit, where, group in self._groups(pairs, qubits):
-            sub = self._amps[group]
-            bit = np.moveaxis(sub, self._axis(qubit), -1)
-            in_x = bases[where] == "X"
-            bit[in_x] = bit[in_x] @ HADAMARD  # X-basis coefficients
-            weight = (np.abs(bit) ** 2).reshape(group.size, -1, 2).sum(axis=1)
-            seen = (draws[where] >= weight[:, 0] / weight.sum(axis=1)).astype(np.int8)
-            rows = np.arange(group.size)
-            bit[rows, ..., 1 - seen] = 0.0
-            bit /= np.sqrt(np.maximum(weight[rows, seen], 1e-300)).reshape(
-                (-1,) + (1,) * (bit.ndim - 1)
-            )
-            bit[in_x] = bit[in_x] @ HADAMARD
-            self._amps[group] = sub
+        for half, where, group in self._groups(pairs, qubits):
+            basis = (bases[where] == "X").astype(np.int8)
+            # an eigenstate of the basis has p0 of 0 or 1, anything else 1/2
+            known = self._basis[group, half] == basis
+            p0 = np.where(known, 1 - self._value[group, half], 0.5)
+            seen = (draws[where] >= p0).astype(np.int8)
+            # a frame half collapses its partner onto the correlated eigenstate
+            fresh = self._basis[group, half] < 0
+            pair, b = group[fresh], basis[fresh]
+            self._basis[pair, 1 - half] = b
+            self._value[pair, 1 - half] = seen[fresh] ^ 1 ^ self._frame[pair, b]
+            self._basis[group, half] = basis
+            self._value[group, half] = seen
             outcomes[where] = seen
         return outcomes
 
-    def attach_probe(self, pairs, qubits, spec: ProbeAttackSpec) -> np.ndarray:
-        """Entangle a fresh probe with each listed half via the attack
-        unitary; returns the qubit each probe took (2 or 3)."""
-        # the new probe qubit holds |0>: the map from the system's bit c to
-        # the joint (system, probe) output is the gate applied to c and the
-        # probe state, with local index 2*system + probe as in the gate
-        fresh = spec.unitary().reshape(4, 2, 2) @ spec.probe_state.amplitudes
-        taken = np.empty(np.size(pairs), dtype=np.intp)
-        for qubit, where, group in self._groups(pairs, qubits):
-            if qubit > 1:
-                raise QuantumValidationError("probes attach to pair halves, qubits 0 and 1")
-            target = 2 + self._probes[group]
-            if target.max(initial=0) >= _PAIR_QUBITS_MAX:
-                raise ResourceLimitError(
-                    f"a pair register holds at most {_PAIR_QUBITS_MAX} qubits"
-                )
-            for probe in np.unique(target).tolist():
-                if probe == self.num_qubits:  # first pair to need this probe qubit
-                    grown = np.zeros((self.num_pairs, 2) + self._amps.shape[1:], dtype=complex)
-                    grown[:, 0] = self._amps
-                    self._amps = grown
-                mine = target == probe
-                axes = (self._axis(qubit), self._axis(probe))
-                sub = np.moveaxis(self._amps[group[mine]], axes, (-2, -1))
-                joint = (sub[..., 0].reshape(-1, 2) @ fresh.T).reshape(sub.shape)
-                joint = np.moveaxis(joint, (-2, -1), axes)
-                self._amps[group[mine]] = np.ascontiguousarray(joint)
-                taken[where[mine]] = probe
-            self._probes[group] += 1
-        return taken
-
-    def _bell_weights(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bell coefficients, shape (pairs, probe states, 4), and their
-        Born weights, shape (pairs, 4)."""
-        # _BELL_BASIS columns: local index 2*bit0 + bit1, qubit 0 first
-        halves = self._amps[pairs].swapaxes(-1, -2).reshape(-1, 4)
-        coeffs = (halves @ _BELL_BASIS.conj().T).reshape(pairs.size, -1, 4)
-        return coeffs, (np.abs(coeffs) ** 2).sum(axis=1)
-
-    def bell_probabilities(self, pairs) -> np.ndarray:
-        """Born probabilities of the four Bell outcomes on each listed
-        pair's halves, shape (pairs, 4), without measuring."""
-        weight = self._bell_weights(self._pairs(pairs))[1]
-        return weight / weight.sum(axis=1, keepdims=True)
+    def attach_probe(self, pairs, qubits, spec: ProbeAttackSpec, rng) -> None:
+        """Entangle a fresh ``|0>`` probe with each listed half and trace
+        it out: the half takes a Z flip with probability (1 - cos theta)/2,
+        one uniform per particle from ``rng``."""
+        flip = rng.random(np.size(pairs)) < (1.0 - math.cos(spec.theta)) / 2.0
+        self.apply_pauli(pairs, qubits, x=0, z=flip)
 
     def bell_measure(self, pairs, rng) -> np.ndarray:
         """Bell-basis measurement of each listed pair's two halves;
-        returns BellOutcome values and collapses the halves onto them."""
+        returns BellOutcome values and leaves each pair in that Bell state.
+
+        One uniform per pair meets the cumulative Born probabilities in
+        BellOutcome order. A frame fixes both frame bits; a product fixes
+        the Z parity (x) if both halves are in Z, the X parity (z) if both
+        are in X, and leaves the rest uniform.
+        """
         pairs = self._pairs(pairs)
-        coeffs, weight = self._bell_weights(pairs)
-        probs = weight / weight.sum(axis=1, keepdims=True)
+        basis, value = self._basis[pairs], self._value[pairs]
+        product = basis[:, 0] >= 0
+        shared = np.where(basis[:, 0] == basis[:, 1], basis[:, 0], -1)
+        fixed = ~product[:, None] | (shared[:, None] == [0, 1])
+        bits = np.where(product[:, None], (1 ^ value[:, :1] ^ value[:, 1:]), self._frame[pairs])
+        marginal = np.where(fixed[..., None], np.eye(2)[bits], 0.5)  # (pair, frame bit, value)
+        probs = marginal[:, 0, _OUTCOME_FRAME[:, 0]] * marginal[:, 1, _OUTCOME_FRAME[:, 1]]
         draws = rng.random(pairs.size)
         outcomes = (draws[:, None] >= np.cumsum(probs, axis=1)[:, :3]).sum(axis=1)
-        rows = np.arange(pairs.size)
-        residual = coeffs[rows, :, outcomes] / np.sqrt(
-            np.maximum(weight[rows, outcomes], 1e-300)
-        )[:, None]
-        post = residual[:, :, None] * _BELL_BASIS[outcomes][:, None, :]
-        post = post.reshape((pairs.size,) + self._amps.shape[1:]).swapaxes(-1, -2)
-        self._amps[pairs] = np.ascontiguousarray(post)  # strided scatter is far slower
+        self._frame[pairs] = _OUTCOME_FRAME[outcomes]
+        self._basis[pairs] = -1
         return outcomes

@@ -89,8 +89,8 @@ class Permutation:
 class ParticleBlock:
     """Quantum particles in transit, as index arrays into a pair engine.
 
-    Particle ``i`` is qubit ``qubits[i]`` of pair ``pairs[i]`` in
-    ``registry``; qubits 0 and 1 are a pair's halves, 2 and 3 its probes.
+    Particle ``i`` is half ``qubits[i]`` (0 or 1) of pair ``pairs[i]`` in
+    ``registry``.
     """
 
     registry: QuantumRegistry

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import hypergeom
 
 from orthosim.adversary import (
     AdversaryError,
@@ -15,6 +16,7 @@ from orthosim.adversary import (
     _pop_multiset_state,
     escape_probability,
     escape_probability_checked,
+    escape_probability_sampled,
     matching_count,
     perfect_matchings,
     permutation_attack,
@@ -29,14 +31,14 @@ from orthosim.quantum import (
     DensityMatrix,
     ProbeAttackSpec,
     QuantumRegistry,
-    StateVector,
     _permute_qubits_raw,
-    basis_state,
+    dense_encode,
     holevo_information,
     singlet,
 )
 from orthosim.transport import ParticleBlock
 from conftest import assert_frequency
+from test_quantum import _ORACLE_BELL
 
 S2 = 1.0 / math.sqrt(2)
 
@@ -76,6 +78,41 @@ def test_escape_probability_checked():
     assert escape_probability_checked(2, 2, 1, 0.5) == pytest.approx(1 - 0.5 * 0.25, abs=1e-15)
     with pytest.raises(AdversaryError):
         escape_probability_checked(2, 2, 1, 1.5)
+
+
+def test_escape_probability_sampled_matches_hypergeometric_sum():
+    # checks drawn without replacement: E[(1 - p)^H], H hypergeometric
+    for j, k, n, attacked, checks in (
+        (2, 2, 20, 20, 10), (2, 3, 40, 16, 20), (3, 2, 40, 19, 20),
+        (4, 4, 7, 3, 5), (2, 2, 10, 0, 4), (2, 2, 10, 7, 10), (3, 3, 30, 25, 12),
+    ):
+        survive = 1.0 - ((j - 1) / j) * ((k - 1) / k)
+        exact = sum(
+            math.comb(attacked, h) * math.comb(n - attacked, checks - h) * survive**h
+            for h in range(min(attacked, checks) + 1)
+        ) / math.comb(n, checks)
+        got = escape_probability_sampled(j, k, n, attacked, checks)
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+    # a full attack at f = 0.5 escapes like (3/4)^10, not (1 - 0.5/4)^20
+    assert escape_probability_sampled(2, 2, 20, 20, 10) == 0.75**10
+    # every coordinate checked: bit-identical to the independent-rounds form
+    for attacked in (0, 1, 7, 40):
+        assert escape_probability_sampled(3, 2, 40, attacked, 40) == (
+            escape_probability_checked(3, 2, attacked, 1.0)
+        )
+    with pytest.raises(AdversaryError):
+        escape_probability_sampled(2, 2, 10, 11, 5)
+
+
+def test_escape_probability_sampled_at_large_blocks():
+    n, attacked, checks = 100_000, 30, 50_000
+    law = hypergeom(n, attacked, checks)
+    h = np.arange(attacked + 1)
+    reference = float((law.pmf(h) * 0.75**h).sum())
+    assert escape_probability_sampled(2, 2, n, attacked, checks) == pytest.approx(
+        reference, rel=1e-9
+    )
+    assert escape_probability_sampled(2, 2, n, n // 2, checks) == 0.0  # underflows cleanly
 
 
 # ---------------------------------------------------------------- matchings
@@ -168,7 +205,7 @@ def test_glt_intercept_attack_fraction():
 
 def test_glt_intercept_rejects_particles():
     reg = QuantumRegistry()
-    pairs = reg.allocate(singlet())
+    pairs = reg.allocate()
     hook = GltInterceptResend(np.random.default_rng(0))
     with pytest.raises(AdversaryError):
         hook.intercept(ParticleBlock(reg, pairs, 0))
@@ -196,15 +233,17 @@ def test_detection_decomposition():
 def test_quantum_intercept_transparent_on_z_eigenstates():
     rng = np.random.default_rng(8)
     hook = QuantumInterceptResend("Z", rng)
-    for bit in (0, 1):
-        reg = QuantumRegistry()
-        pairs = reg.allocate(basis_state(2, bit))  # half 0 holds bit, half 1 holds 0
-        hook.intercept(ParticleBlock(reg, pairs, 0))
-        bases, outcomes = hook.observations[-1]
-        assert list(zip(bases.tolist(), outcomes.tolist())) == [("Z", bit)]
-        expected = np.zeros(4)
-        expected[bit] = 1.0
-        np.testing.assert_allclose(reg.state_vector(0).amplitudes, expected, atol=1e-12)
+    reg = QuantumRegistry()
+    pairs = reg.allocate(64)
+    prepared = reg.measure(pairs, 0, "Z", rng)  # half 0 holds a Z eigenstate
+    assert 0 < prepared.sum() < 64
+    hook.intercept(ParticleBlock(reg, pairs, 0))
+    bases, outcomes = hook.observations[-1]
+    assert (bases == "Z").all()
+    assert (outcomes == prepared).all()
+    # both halves are left as they were: the eigenstate and its anticorrelated partner
+    assert (reg.measure(pairs, 0, "Z", rng) == prepared).all()
+    assert (reg.measure(pairs, 1, "Z", rng) == 1 - prepared).all()
 
 
 def test_quantum_intercept_disturbs_conjugate_states():
@@ -212,9 +251,10 @@ def test_quantum_intercept_disturbs_conjugate_states():
     hook = QuantumInterceptResend("Z", rng)
     trials = 20_000
     reg = QuantumRegistry()
-    pairs = reg.allocate(StateVector(np.array([S2, S2, 0.0, 0.0])), trials)  # |+> on half 0
+    pairs = reg.allocate(trials)
+    prepared = reg.measure(pairs, 0, "X", rng)  # half 0 holds an X eigenstate
     hook.intercept(ParticleBlock(reg, pairs, 0))
-    errors = int(reg.measure(pairs, 0, "X", rng).sum())  # |+> is X outcome 0
+    errors = int((reg.measure(pairs, 0, "X", rng) != prepared).sum())
     assert_frequency(errors, trials, 0.5, 5.0)
 
 
@@ -233,7 +273,7 @@ def test_quantum_intercept_singlet_bell_distribution():
         BellOutcome.PHI_PLUS: (1, 1),
     }
     reg = QuantumRegistry()
-    pairs = reg.allocate(singlet(), trials)
+    pairs = reg.allocate(trials)
     hook.intercept(ParticleBlock(reg, pairs, 0))
     hook.intercept(ParticleBlock(reg, pairs, 1))
     for outcome in reg.bell_measure(pairs, rng).tolist():
@@ -261,7 +301,7 @@ def test_quantum_intercept_random_basis_error_rate():
     }
     wrong_bits = 0
     reg = QuantumRegistry()
-    pairs = reg.allocate(singlet(), trials)
+    pairs = reg.allocate(trials)
     hook.intercept(ParticleBlock(reg, pairs, 0))
     hook.intercept(ParticleBlock(reg, pairs, 1))
     for outcome in reg.bell_measure(pairs, rng).tolist():
@@ -272,12 +312,78 @@ def test_quantum_intercept_random_basis_error_rate():
     assert abs(e - 0.375) < 5.0 * 1.0 / (2 * math.sqrt(trials))
 
 
+class _PresetDraws:
+    """Generator stand-in: each ``random``/``integers`` call returns the
+    next preset array."""
+
+    def __init__(self, *calls):
+        self.calls = list(calls)
+
+    def random(self, size):
+        return self.calls.pop(0)
+
+    def integers(self, low, high, size):
+        return self.calls.pop(0)
+
+
+def _exact_joint(code, bases):
+    """P(Eve's outcomes e0, e1; Bob's Bell outcome) for a dense-coded
+    singlet whose halves are measured in ``bases``, by projectors on the
+    exact state vector; shape (2, 2, 4)."""
+    eigen = {"Z": np.eye(2), "X": np.array([[S2, S2], [S2, -S2]])}  # rows: outcome 0, 1
+    psi = dense_encode(code, singlet()).amplitudes
+    joint = np.zeros((2, 2, 4))
+    for e0, e1 in itertools.product((0, 1), repeat=2):
+        v0, v1 = eigen[bases[0]][e0], eigen[bases[1]][e1]
+        post = np.kron(np.outer(v1, v1), np.outer(v0, v0)) @ psi  # qubit 0 is the low bit
+        for k in BellOutcome:
+            joint[e0, e1, k] = abs(_ORACLE_BELL[k].conj() @ post) ** 2
+    return joint
+
+
+@pytest.mark.parametrize("basis", ["Z", "X", "random"])
+def test_intercept_resend_joint_outcomes_match_exact_oracle(basis):
+    # Eve measures both halves of every dense-coded pair, then Bob
+    # Bell-measures.  Every threshold a uniform meets is a multiple of 1/4
+    # (Born weights 0, 1/4, 1/2, 3/4, 1), so running each of the 4^3 cells
+    # of (half-0, half-1, Bell) uniforms at its midpoint weighs the joint
+    # outcomes exactly; "random" also runs the four basis choices.
+    mids = (np.arange(4) + 0.5) / 4
+    cells = np.array(list(itertools.product(mids, repeat=3)))  # (64, 3)
+    combos = list(itertools.product("ZX", repeat=2)) if basis == "random" else [(basis,) * 2]
+    choice = np.repeat(np.arange(len(combos)), len(cells))  # basis combo per pair
+    cells = np.tile(cells, (len(combos), 1))
+    n = len(cells)
+    for code in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        reg = QuantumRegistry()
+        pairs = reg.allocate(n)
+        reg.apply_pauli(pairs, 0, x=code[1], z=code[0])
+        halves = np.tile([0, 1], n)
+        draws = cells[:, :2].ravel()  # the stream is half 0, half 1 of each pair
+        if basis == "random":  # the hook draws "Z" = 0, "X" = 1 per particle
+            index = np.array([[combos[c][h] == "X" for h in (0, 1)] for c in choice])
+            rng = _PresetDraws(index.ravel().astype(int), draws)
+        else:
+            rng = _PresetDraws(draws)
+        hook = QuantumInterceptResend(basis, rng)
+        hook.intercept(ParticleBlock(reg, np.repeat(pairs, 2), halves))
+        eve = hook.observations[-1][1].reshape(n, 2)
+        bob = reg.bell_measure(pairs, _PresetDraws(cells[:, 2]))
+        for c, bases in enumerate(combos):
+            mine = choice == c
+            engine = np.zeros((2, 2, 4))
+            np.add.at(engine, (eve[mine, 0], eve[mine, 1], bob[mine]), 1.0 / mine.sum())
+            np.testing.assert_allclose(
+                engine, _exact_joint(code, bases), rtol=0.0, atol=1e-12
+            )
+
+
 def test_quantum_intercept_attack_fraction():
     rng = np.random.default_rng(14)
     hook = QuantumInterceptResend("Z", rng, attack_fraction=0.3)
     trials = 20_000
     reg = QuantumRegistry()
-    pairs = reg.allocate(singlet(), trials)
+    pairs = reg.allocate(trials)
     hook.intercept(ParticleBlock(reg, pairs, 0))
     assert_frequency(hook.rounds_attacked, trials, 0.3, 5.0)
     bases, outcomes = hook.observations[-1]
@@ -297,34 +403,31 @@ def test_quantum_intercept_validation():
 
 def test_probe_attack_transparent_at_zero():
     rng = np.random.default_rng(12)
-    hook = ProbeAttack(ProbeAttackSpec(0.0))
+    hook = ProbeAttack(ProbeAttackSpec(0.0), np.random.default_rng(0))
     reg = QuantumRegistry()
-    pairs = reg.allocate(singlet())
+    pairs = reg.allocate(1000)
     for half in (0, 1):
         hook.intercept(ParticleBlock(reg, pairs, half))
-    assert len(hook.probes) == 2
-    assert hook.rounds_attacked == 2
-    np.testing.assert_allclose(
-        reg.reduced_density(0, [0, 1]).matrix,
-        np.outer(singlet().amplitudes, singlet().amplitudes.conj()),
-        atol=1e-12,
-    )
-    assert reg.bell_measure(pairs, rng).tolist() == [BellOutcome.PSI_MINUS]
+    assert hook.rounds_attacked == 2000
+    assert (reg.bell_measure(pairs, rng) == BellOutcome.PSI_MINUS).all()
 
 
-def test_probe_attack_copies_computational_bits():
-    rng = np.random.default_rng(13)
-    hook = ProbeAttack(ProbeAttackSpec(math.pi / 2))
-    for bit in (0, 1):
-        reg = QuantumRegistry()
-        pairs = reg.allocate(basis_state(2, bit))  # half 0 holds bit
-        hook.intercept(ParticleBlock(reg, pairs, 0))
-        probe = hook.probes[-1]
-        assert probe.registry.measure(probe.pairs, probe.qubits, "Z", rng).tolist() == [bit]
+def test_probe_attack_flips_from_the_eve_stream():
+    # each probed half takes a Z flip with probability (1 - cos theta)/2,
+    # one uniform per particle from the attacker's generator
+    theta, trials = 0.9, 40_000
+    q = (1.0 - math.cos(theta)) / 2.0
+    hook = ProbeAttack(ProbeAttackSpec(theta), np.random.default_rng(21))
+    reg = QuantumRegistry()
+    pairs = reg.allocate(trials)
+    hook.intercept(ParticleBlock(reg, pairs, 0))
+    flipped = reg.bell_measure(pairs, np.random.default_rng(0)) == BellOutcome.PSI_PLUS
+    assert (flipped == (np.random.default_rng(21).random(trials) < q)).all()
+    assert_frequency(int(flipped.sum()), trials, q, 5.0)
 
 
 def test_probe_attack_rejects_gbits():
-    hook = ProbeAttack(ProbeAttackSpec(0.3))
+    hook = ProbeAttack(ProbeAttackSpec(0.3), np.random.default_rng(0))
     with pytest.raises(AdversaryError):
         hook.intercept(GbitBlock(FiducialSpec(2, 2), [0]))
 

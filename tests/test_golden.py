@@ -60,18 +60,18 @@ SEEDS = (1, 2)
 # clean and exactly scored pop-qsdc documents hold no seed-dependent field,
 # so their two seeds share a digest
 GOLDEN = {
-    ('glt2s-attacked', 1): '2ded3075e77d7ce378fe2611991267ba30c8ef66151b3ff68c1fb57ca1636859',
-    ('glt2s-attacked', 2): 'e704b022805c34c51da583949d30891cdbb0848ac19cfb0b393b9bb0610afb22',
+    ('glt2s-attacked', 1): 'e9ae13a395c06bed0a7d6df879553a0822c1abc1436f864effe50c9ea9c95487',
+    ('glt2s-attacked', 2): 'a64a6c2ef275e388898aaa112efda199ca56295dcf7cc01747c999d455dd6ad4',
     ('glt2s-clean', 1): '3cd077e4ec292cb003427a4c8b20496a8a9c05a5bc563d7fb45898a1990795f4',
     ('glt2s-clean', 2): '487c2e0d2908eeb140017e938c4662cae6c1c1cff97097b1c4380aada7bb8447',
-    ('glt2s-partial', 1): '681939244e50476636ec17dcdb8edacaf3325206908c94bdf6389680672121b4',
-    ('glt2s-partial', 2): '9625f01e9c7fe85c4bdc5153cd300bc04c6f8363e51dee3177a7b029e758bb51',
+    ('glt2s-partial', 1): '2da5ad58972fc4135885c39847343f0d3fddfe29acff7af965525b2b2df9aed6',
+    ('glt2s-partial', 2): '4ab20ac44be867e9f987a40c0191c19b431fa84fea50e65d9c7fcd3eb37f8555',
     ('pop-clean', 1): 'ec4209f994db799371a1464a64f7b34c6e4d637a43b0dac79c5b524bf2ef87f3',
     ('pop-clean', 2): 'ec4209f994db799371a1464a64f7b34c6e4d637a43b0dac79c5b524bf2ef87f3',
     ('pop-noisy', 1): 'a1be7741d69a50a2bdf165ea0bd41e2cb2cf1302a669bb69d4d03b048a317190',
     ('pop-noisy', 2): 'bbee07e1fac11ed2ac573f2d34965eb88b4dcb69c82691f83da51c5a2591fb1b',
-    ('pop-probed', 1): 'db41b638e6b55b12d7e7c379127d74167eedd9037e17da336edf9c18d1628714',
-    ('pop-probed', 2): 'b932c9ecc85a25b5e0c0c3d670cc467b7b7c41e863bdeffdc4918d7ca12911e6',
+    ('pop-probed', 1): '4e9d5d0f7b4a89a8f10ad5345c360c68c58d8cfb9db7a275fd70b6154ab68e03',
+    ('pop-probed', 2): '0b421add2b1a79af00428570598bc631c88108598cfb0acf42a6fa8d874d9189',
     ('pop-probed-exact', 1): '49dcac20db0957eaed592ae1a3b24a8bbb3c5135d50bda9f8ae499989551e1b1',
     ('pop-probed-exact', 2): '49dcac20db0957eaed592ae1a3b24a8bbb3c5135d50bda9f8ae499989551e1b1',
     ('stream-clean', 1): 'abadb0b27c871d0ac75c48f852123d7e03eb57e74c9d48de247f706fdfaa742c',
@@ -80,8 +80,8 @@ GOLDEN = {
     ('stream-intercepted', 2): '4a4a0e3c46d032f98f95baeab3ccfa761337859a7007816f6af05b965fe85ede',
     ('stream-noisy', 1): '40199f11c417ab3c79399b5b2eecb7357563774f9c699ffaefa454de89bc37bb',
     ('stream-noisy', 2): '151dcb420f1583e76f0112e5d106424a2d214bd48c50f7d2ee2513fe7a4be65b',
-    ('stream-probed', 1): 'e6048a8a1330a19f191474b9240ef1581f0ee249a27dce327bd7241ed3f51536',
-    ('stream-probed', 2): '674be8c9fc94a3482ca412a9cb6d69a019c45c7e3d7477d8a1d802f71f481e36',
+    ('stream-probed', 1): 'd5e71b5a449376e7809db3e0ac72048e407172d27eda5517651873ffbcf6f70b',
+    ('stream-probed', 2): '4160f7990e3c31b59483bdd985b65005f1a004c1b7a48c7173fc1a411b29d1cc',
 }
 
 

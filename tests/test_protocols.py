@@ -188,6 +188,19 @@ def test_glt_full_attack_abort_frequency_matches_escape_curve():
         assert_frequency(completed, trials, 0.75**n, nsigma=5)
 
 
+def test_glt_report_escape_counts_sampled_checks():
+    # the check draws round(f * n) coordinates without replacement, so a
+    # full attack at n = 20, f = 0.5 escapes with (3/4)^10 = 0.0563, not
+    # with (1 - 0.5 / 4)^20 = 0.0692
+    attack = AdversarySpec("glt-intercept-resend")
+    res = run(glt(seed=1, n=20, f=0.5, threshold=1.0, adversary=attack))
+    assert res.attack_report.analytic_escape == pytest.approx(0.0563, abs=5e-5)
+    assert res.attack_report.analytic_escape == 0.75**10
+    # with every coordinate checked the report is unchanged, bit for bit
+    full = run(glt(seed=1, n=7, f=1.0, threshold=1.0, adversary=attack))
+    assert full.attack_report.analytic_escape == escape_probability(2, 2, 7)
+
+
 def test_escape_trials_agrees_with_per_run_tally():
     # the batch estimator samples the same process as repeated full runs
     cfg = glt(n=2, f=1.0, threshold=0.0,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from orthosim.quantum import (
     QuantumValidationError,
     ResourceLimitError,
     StateVector,
+    _permute_qubits_raw,
     apply_channel,
     apply_single_qubit_gate,
     basis_state,
@@ -27,8 +29,6 @@ from orthosim.quantum import (
     dense_encode,
     density,
     holevo_information,
-    partial_trace,
-    permute_qubits,
     probe_interact,
     reduced_state,
     ry,
@@ -48,6 +48,11 @@ def kron_op(op, qubit, n):
     for m in mats:  # highest qubit becomes the leftmost kron factor
         out = np.kron(m, out)
     return out
+
+
+def random_state(rng, n):
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(v / np.linalg.norm(v))
 
 
 def random_density(rng, n, rank=3):
@@ -169,8 +174,7 @@ def test_bell_measure_needs_distinct_qubits():
 @settings(max_examples=40)
 def test_single_qubit_gates_preserve_norm(seed, n):
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    state = StateVector(v / np.linalg.norm(v))
+    state = random_state(rng, n)
     qubit = int(rng.integers(0, n))
     gate = [PAULI_X, PAULI_Y, PAULI_Z, HADAMARD, ry(rng.random() * math.pi)][
         int(rng.integers(0, 5))
@@ -219,13 +223,13 @@ def einsum_partial_trace(mat, n, keep):
 def test_partial_trace_matches_einsum_oracle(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
-    dm = random_density(rng, n)
+    state = random_state(rng, n)
     keep = sorted(
         rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist()
     )
-    got = partial_trace(dm, keep)
+    got = reduced_state(state, keep)
     np.testing.assert_allclose(
-        got.matrix, einsum_partial_trace(dm.matrix, n, set(keep)), atol=1e-10
+        got.matrix, einsum_partial_trace(density(state).matrix, n, set(keep)), atol=1e-10
     )
 
 
@@ -234,11 +238,11 @@ def test_partial_trace_matches_einsum_oracle(seed):
 def test_partial_trace_composes(seed):
     # tracing out qubits one at a time agrees with tracing jointly
     rng = np.random.default_rng(seed)
-    dm = random_density(rng, 4)
-    joint = partial_trace(dm, [0, 2])
-    step = partial_trace(dm, [0, 2, 3])  # drop 1, then drop (renumbered) 3
-    step = partial_trace(step, [0, 1])
-    np.testing.assert_allclose(joint.matrix, step.matrix, atol=1e-10)
+    state = random_state(rng, 4)
+    joint = reduced_state(state, [0, 2])
+    step = reduced_state(state, [0, 2, 3])  # drop 1, then drop (renumbered) 3
+    step = einsum_partial_trace(step.matrix, 3, {0, 1})
+    np.testing.assert_allclose(joint.matrix, step, atol=1e-10)
 
 
 def test_partial_trace_product_state():
@@ -259,8 +263,8 @@ def test_partial_trace_product_state():
 def test_permute_qubits_on_basis_state():
     # |q1 q0> = |01> has qubit0=1; swapping labels moves the excitation
     dm = density(basis_state(2, 1))
-    swapped = permute_qubits(dm, [1, 0])
-    np.testing.assert_allclose(swapped.matrix, density(basis_state(2, 2)).matrix)
+    swapped = _permute_qubits_raw(dm.matrix, [1, 0])
+    np.testing.assert_allclose(swapped, density(basis_state(2, 2)).matrix)
 
 
 # ---------------------------------------------------------------- entropies
@@ -399,26 +403,32 @@ def test_bit_flip_error_rate():
     p = 0.23
     out = apply_channel(basis_state(1, 0), NoiseChannel("bit-flip", p), 0)
     assert float(out.matrix[1, 1].real) == pytest.approx(p, abs=1e-12)
-    # the engine's trajectories reproduce the same rate
+    # the engine's trajectories reproduce the same rate on Z eigenstates
     rng = np.random.default_rng(77)
     trials = 50_000
     reg = QuantumRegistry()
-    pairs = reg.allocate(basis_state(2, 0), trials)
+    pairs = reg.allocate(trials)
+    before = reg.measure(pairs, 0, "Z", rng)
     reg.apply_noise(pairs, 0, NoiseChannel("bit-flip", p), rng)
-    flips = int(reg.measure(pairs, 0, "Z", rng).sum())
+    flips = int((reg.measure(pairs, 0, "Z", rng) != before).sum())
     assert_frequency(flips, trials, p, 5.0)
 
 
 def test_trajectories_average_to_exact_channel():
+    # a depolarized singlet is Bell-diagonal, so the Bell-outcome
+    # frequencies of the engine's trajectories pin down the exact state
     rng = np.random.default_rng(123)
     channel = NoiseChannel("depolarizing", 0.4)
-    exact = apply_channel(basis_state(2, 0), channel, 0).matrix
+    exact = apply_channel(singlet(), channel, 0).matrix
     trials = 60_000
     reg = QuantumRegistry()
-    pairs = reg.allocate(basis_state(2, 0), trials)
+    pairs = reg.allocate(trials)
     reg.apply_noise(pairs, 0, channel, rng)
-    amps = np.array([reg.state_vector(pair).amplitudes for pair in pairs])
-    np.testing.assert_allclose(amps.T @ amps.conj() / trials, exact, atol=0.01)
+    counts = np.bincount(reg.bell_measure(pairs, rng), minlength=4)
+    for outcome in BellOutcome:
+        bell = _ORACLE_BELL[outcome]
+        born = float((bell.conj() @ exact @ bell).real)
+        assert_frequency(int(counts[outcome]), trials, born, 5.0)
 
 
 def test_channel_on_chosen_qubit_of_register():
@@ -433,81 +443,57 @@ def test_channel_on_chosen_qubit_of_register():
 def test_registry_singlet_roundtrip():
     rng = np.random.default_rng(31)
     reg = QuantumRegistry()
-    pairs = reg.allocate(singlet())
+    pairs = reg.allocate()
     assert reg.bell_measure(pairs, rng).tolist() == [BellOutcome.PSI_MINUS]
 
 
 def test_registry_pauli_and_probe():
     rng = np.random.default_rng(32)
     reg = QuantumRegistry()
-    pairs = reg.allocate(singlet())
+    pairs = reg.allocate()
     reg.apply_pauli(pairs, 0, x=1, z=0)
     assert reg.bell_measure(pairs, rng).tolist() == [BellOutcome.PHI_MINUS]
-    # a full-strength probe copies the computational bit
+    # a full-strength probe leaves computational bits alone and
+    # randomizes conjugate ones
+    trials = 4000
     reg2 = QuantumRegistry()
-    pairs2 = reg2.allocate(basis_state(2, 1))
-    probe = reg2.attach_probe(pairs2, 0, ProbeAttackSpec(math.pi / 2))
-    assert probe.tolist() == [2]
-    assert reg2.measure(pairs2, probe, "Z", rng).tolist() == [1]
-
-
-def test_registry_probe_qubits_and_limit():
-    reg = QuantumRegistry()
-    pairs = reg.allocate(singlet(), 3)
-    spec = ProbeAttackSpec(0.1)
-    assert reg.attach_probe(pairs[:1], 1, spec).tolist() == [2]
-    assert reg.num_qubits == 3
-    # half-0 particles take probe qubits before half-1 ones: pair 0 gets
-    # its second, pairs 1 and 2 their first, then pair 1's half 1 its second
-    both = reg.attach_probe([0, 1, 2, 1], [0, 1, 0, 0], spec)
-    assert both.tolist() == [3, 3, 2, 2]
-    assert reg.num_qubits == 4
-    late = reg.allocate(singlet())  # later pairs hold |0> on the probe qubits
-    np.testing.assert_allclose(
-        reg.state_vector(int(late[0])).amplitudes,
-        np.kron(basis_state(2, 0).amplitudes, singlet().amplitudes),
-        atol=1e-12,
-    )
-    with pytest.raises(ResourceLimitError):
-        reg.attach_probe([0], 1, spec)
-    with pytest.raises(QuantumValidationError):
-        reg.attach_probe([2], 2, spec)  # probes attach to halves only
-
-
-def test_registry_reduced_density_order():
-    reg = QuantumRegistry()
-    pair = int(reg.allocate(basis_state(2, 1))[0])  # qubit0 = 1, qubit1 = 0
-    rho01 = reg.reduced_density(pair, [0, 1]).matrix
-    rho10 = reg.reduced_density(pair, [1, 0]).matrix
-    np.testing.assert_allclose(rho01, density(basis_state(2, 1)).matrix, atol=1e-12)
-    np.testing.assert_allclose(rho10, density(basis_state(2, 2)).matrix, atol=1e-12)
+    pairs2 = reg2.allocate(trials)
+    z_bits = reg2.measure(pairs2, 0, "Z", rng)
+    x_bits = reg2.measure(pairs2, 1, "X", rng)
+    for half in (0, 1):
+        reg2.attach_probe(pairs2, half, ProbeAttackSpec(math.pi / 2), rng)
+    assert (reg2.measure(pairs2, 0, "Z", rng) == z_bits).all()
+    changed = int((reg2.measure(pairs2, 1, "X", rng) != x_bits).sum())
+    assert_frequency(changed, trials, 0.5, 5.0)
 
 
 def test_registry_unknown_particle():
     reg = QuantumRegistry()
     with pytest.raises(QuantumValidationError):
         reg.measure([99], 0, "Z", np.random.default_rng(0))
-    reg.allocate(singlet())
+    reg.allocate()
     with pytest.raises(QuantumValidationError):
-        reg.measure([0], 2, "Z", np.random.default_rng(0))  # no probe qubit yet
+        reg.measure([0], 2, "Z", np.random.default_rng(0))  # a pair holds two qubits
     with pytest.raises(QuantumValidationError):
         reg.apply_pauli([0, 0], 1, x=1, z=0)  # one particle twice in one call
     with pytest.raises(QuantumValidationError):
         reg.measure([0], 0, "Y", np.random.default_rng(0))
+    with pytest.raises(QuantumValidationError):
+        reg.attach_probe([0], 2, ProbeAttackSpec(0.1), np.random.default_rng(0))
 
 
 def test_registry_dense_codes_match_exact_encoding():
-    reg = QuantumRegistry()
+    # dense codes on either half give Bell states, whose Bell measurement
+    # is certain on the engine and on the exact path alike
+    rng = np.random.default_rng(33)
     codes = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    pairs = reg.allocate(singlet(), len(codes))
     bits = np.array(codes)
-    reg.apply_pauli(pairs, 0, x=bits[:, 1], z=bits[:, 0])
-    for pair, code in zip(pairs.tolist(), codes):
-        np.testing.assert_allclose(
-            reg.state_vector(pair).amplitudes,
-            dense_encode(code, singlet()).amplitudes,
-            atol=1e-12,
-        )
+    for half in (0, 1):
+        reg = QuantumRegistry()
+        pairs = reg.allocate(len(codes))
+        reg.apply_pauli(pairs, half, x=bits[:, 1], z=bits[:, 0])
+        exact = [bell_measure(dense_encode(c, singlet(), half), 0, 1, rng)[0] for c in codes]
+        assert reg.bell_measure(pairs, rng).tolist() == exact
 
 
 def test_registry_measure_matches_exact_measurement():
@@ -516,13 +502,25 @@ def test_registry_measure_matches_exact_measurement():
     rng = np.random.default_rng(34)
     trials = 20_000
     reg = QuantumRegistry()
-    pairs = reg.allocate(singlet(), trials)
+    pairs = reg.allocate(trials)
     outcomes = reg.measure(pairs, 0, "X", rng)
     assert_frequency(int(outcomes.sum()), trials, 0.5, 5.0)
     again = reg.measure(pairs, 0, "X", rng)
     assert (again == outcomes).all()
     # the far half is left in the opposite X eigenstate
     assert (reg.measure(pairs, 1, "X", rng) == 1 - outcomes).all()
+
+
+def test_registry_collapses_half_0_before_half_1_in_one_call():
+    # both halves in one call, half 1 listed first: half 0 still collapses
+    # first, on its own draw, and half 1 then reads the anticorrelated partner
+    trials = 1000
+    reg = QuantumRegistry()
+    pairs = reg.allocate(trials)
+    got = reg.measure(np.repeat(pairs, 2), np.tile([1, 0], trials), "Z", np.random.default_rng(36))
+    half0 = np.random.default_rng(36).random(2 * trials)[1::2] >= 0.5
+    assert (got[1::2] == half0).all()
+    assert (got[0::2] == 1 - half0).all()
 
 
 def test_registry_noise_trajectory_frequencies():
@@ -532,7 +530,7 @@ def test_registry_noise_trajectory_frequencies():
     trials = 40_000
     p = 0.4
     reg = QuantumRegistry()
-    pairs = reg.allocate(singlet(), trials)
+    pairs = reg.allocate(trials)
     reg.apply_noise(pairs, 0, NoiseChannel("depolarizing", p), rng)
     counts = np.bincount(reg.bell_measure(pairs, rng), minlength=4)
     for outcome in BellOutcome:
@@ -578,26 +576,30 @@ def _exact_bell_probabilities(code, theta, channel):
     ids=["clean", "depolarizing", "bit-flip"],
 )
 def test_engine_bell_probabilities_match_exact_oracle(theta, channel):
-    # every noise trajectory runs as its own pair; weighting the engine's
-    # per-pair Bell probabilities by the trajectory weights must give the
-    # exact channel's probabilities
+    # a traced-out probe is a Z flip with probability q; every (probe
+    # flip, noise Pauli) branch on each half runs as its own frame pair,
+    # and weighting their certain Bell outcomes by the branch weights must
+    # give the exact probabilities
+    q = (1.0 - math.cos(theta)) / 2.0
     mixture = [(1.0, PAULI_I)] if channel is None else channel.pauli_mixture()
-    branches = [
-        (wa * wb, _pauli_exponents(a), _pauli_exponents(b))
-        for wa, a in mixture
-        for wb, b in mixture
+    per_half = [
+        (wf * wn, flip, _pauli_exponents(op))
+        for wf, flip in ((1.0 - q, 0), (q, 1))
+        for wn, op in mixture
     ]
-    spec = ProbeAttackSpec(theta)
+    branches = list(itertools.product(per_half, repeat=2))
+    weights = np.array([a[0] * b[0] for a, b in branches])
     for code in ((0, 0), (0, 1), (1, 0), (1, 1)):
         reg = QuantumRegistry()
-        pairs = reg.allocate(singlet(), len(branches))
+        pairs = reg.allocate(len(branches))
         reg.apply_pauli(pairs, 0, x=code[1], z=code[0])
         for half in (0, 1):  # per half: intercept, then noise
-            reg.attach_probe(pairs, half, spec)
-            xz = np.array([branch[1 + half] for branch in branches])
+            flips = np.array([branch[half][1] for branch in branches])
+            reg.apply_pauli(pairs, half, x=0, z=flips)
+            xz = np.array([branch[half][2] for branch in branches])
             reg.apply_pauli(pairs, half, x=xz[:, 0], z=xz[:, 1])
-        weights = np.array([branch[0] for branch in branches])
-        engine = weights @ reg.bell_probabilities(pairs)
+        outcomes = reg.bell_measure(pairs, np.random.default_rng(0))
+        engine = np.bincount(outcomes, weights=weights, minlength=4)
         np.testing.assert_allclose(
             engine, _exact_bell_probabilities(code, theta, channel), rtol=0.0, atol=1e-12
         )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthosim.gpt import FiducialSpec, GbitBlock
-from orthosim.quantum import NoiseChannel, QuantumRegistry, singlet
+from orthosim.quantum import NoiseChannel, QuantumRegistry
 from orthosim.transport import (
     Channel,
     EveHook,
@@ -107,7 +107,7 @@ def test_conservation_of_carriers():
 
 def test_duplicate_particles_in_one_block_rejected():
     reg = QuantumRegistry()
-    reg.allocate(singlet())
+    reg.allocate()
     with pytest.raises(TransportError):
         Channel().send_block(ParticleBlock(reg, [0, 0], [1, 1]), np.arange(2))
     Channel().send_block(ParticleBlock(reg, [0, 0], [0, 1]), np.arange(2))
@@ -115,7 +115,7 @@ def test_duplicate_particles_in_one_block_rejected():
 
 def test_particle_block_travels_whole_in_transit_order():
     reg = QuantumRegistry()
-    reg.allocate(singlet(), 2)
+    reg.allocate(2)
     block = ParticleBlock(reg, [0, 0, 1, 1], [0, 1, 0, 1])
     hook = EveHook()
     channel = Channel(eve_hook=hook)
@@ -133,7 +133,7 @@ def test_particle_block_travels_whole_in_transit_order():
 
 def test_streamed_block_logs_one_record_per_particle():
     reg = QuantumRegistry()
-    reg.allocate(singlet(), 3)
+    reg.allocate(3)
     channel = Channel(eve_hook=EveHook())
     channel.broadcast("hello", sender="bob", description="greeting")
     channel.send_block(ParticleBlock(reg, [0, 0, 1, 1, 2, 2], [0, 1] * 3), None, stream=True)
@@ -163,7 +163,7 @@ def test_noise_requires_rng_and_quantum_carriers():
 
 def test_full_strength_bit_flip_in_transit():
     reg = QuantumRegistry()
-    pairs = reg.allocate(singlet())
+    pairs = reg.allocate()
     channel = Channel(
         noise=NoiseChannel("bit-flip", 1.0), noise_rng=np.random.default_rng(0)
     )
@@ -225,7 +225,7 @@ def test_transcript_determinism_same_seed():
             noise=NoiseChannel("depolarizing", 0.3), noise_rng=np.random.default_rng(seed + 1)
         )
         reg = QuantumRegistry()
-        reg.allocate(singlet())
+        reg.allocate()
         perm = Permutation.random(2, rng)
         channel.send_block(ParticleBlock(reg, [0, 0], [0, 1]), perm.mapping)
         channel.broadcast(list(perm.mapping), sender="alice", description=f"perm L={perm.size}")
