@@ -10,7 +10,7 @@ permuted-block transmission.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -18,16 +18,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .gpt import GbitBlock, measure_fiducial
-from .quantum import (
-    DensityMatrix,
-    ProbeAttackSpec,
-    _permute_qubits_raw,
-    dense_encode,
-    holevo_information,
-    probe_interact,
-    reduced_state,
-    singlet,
-)
+from .metrics import binary_entropy
+from .quantum import ProbeAttackSpec
 from .transport import EveHook, ParticleBlock
 
 __all__ = [
@@ -47,7 +39,8 @@ __all__ = [
     "stream_eve_information",
 ]
 
-_POP_ENUMERATION_LIMIT = 4
+_POP_ENUMERATION_LIMIT = 64
+_POP_TRACE_TOL = 1e-9
 
 
 class AdversaryError(ValueError):
@@ -112,21 +105,22 @@ def escape_probability(num_fiducials: int, num_outcomes: int, rounds: int) -> fl
 
 
 def escape_probability_checked(
-    num_fiducials: int, num_outcomes: int, rounds: int, check_fraction: float
+    num_fiducials: int, num_outcomes: int, rounds: int, attack_fraction: float
 ) -> float:
-    """Escape probability when each of ``rounds`` rounds is exposed
-    (attacked and checked) independently with probability check_fraction.
+    """Escape probability over ``rounds`` checked rounds, each attacked
+    independently with probability attack_fraction = a:
+    (1 - a * p)^rounds, with p = (J-1)/J * (K-1)/K the chance that one
+    attacked, checked round is caught.
 
-    Escape tallies pass the checked rounds and the attack fraction, since
-    each gbit is attacked independently. A run's own report checks a
-    fixed number of coordinates; see escape_probability_sampled.
+    This is the escape-tally reference, whose checked rounds are fixed and
+    whose gbits are attacked independently. A run's own report instead
+    knows its attacked count; see escape_probability_sampled.
     """
-    if not 0.0 <= check_fraction <= 1.0:
-        raise AdversaryError(f"check fraction must lie in [0, 1], got {check_fraction}")
+    _validate_fraction(attack_fraction)
     if num_fiducials < 1 or num_outcomes < 2 or rounds < 0:
         raise AdversaryError("need J >= 1, K >= 2, n >= 0")
     j, k = num_fiducials, num_outcomes
-    per_round = 1.0 - check_fraction * ((j - 1) / j) * ((k - 1) / k)
+    per_round = 1.0 - attack_fraction * ((j - 1) / j) * ((k - 1) / k)
     return per_round**rounds
 
 
@@ -366,68 +360,108 @@ def permutation_attack(
 
 
 # ---------------------------------------------------------------- Holevo evaluations
+#
+# Eve's probe for a half in Z state 0 ends in f0 = |0>, for 1 in
+# f1 = cos(theta)|0> + sin(theta)|1>.  The singlet's two Z branches stay
+# orthogonal on the halves, so a dense-coded pair leaves its two probes in
+# one of two mixtures, set by the code's X bit alone:
+#   sigma0 = (f0 f1 + f1 f0) / 2 (anticorrelated halves),
+#   sigma1 = (f0 f0 + f1 f1) / 2 (correlated halves),
+# where f_a f_b is the product state.  Both are swap-symmetric.
 
 
-def _pair_probe_state(theta: float, bits: tuple[int, int]) -> np.ndarray:
-    """Eve's joint 2-probe state for one encoded pair, both halves probed."""
-    encoded = dense_encode(bits, singlet())
-    spec = ProbeAttackSpec(theta)
-    joint = probe_interact(encoded, spec, system_qubit=0)
-    joint = probe_interact(joint, spec, system_qubit=1)
-    return reduced_state(joint, [2, 3]).matrix
+def _check_theta(theta: float) -> float:
+    if not 0.0 <= theta <= math.pi / 2 + 1e-12:
+        raise AdversaryError(f"probe theta must lie in [0, pi/2], got {theta}")
+    return theta
 
 
 def stream_eve_information(theta: float) -> float:
     """Exact per-pair Holevo information of a streaming probe attacker.
 
-    The attacker probes both halves of every dense-coded pair; with the
-    pairing public (streaming transmission), her information per pair is
-    the Holevo quantity of the four equiprobable 2-probe states.
+    With the pairing public, the four codes leave sigma0 or sigma1 with
+    probability 1/2 each.  Their average is tau (x) tau, tau = (f0 f0 +
+    f1 f1) / 2 with spectrum (1 +- c)/2, and each is an equal mixture of two
+    pure products with overlap c^2, so the information is
+    2 h((1 + c)/2) - h((1 + c^2)/2) with c = cos theta.
     """
-    ensemble = [
-        (0.25, DensityMatrix(_pair_probe_state(theta, bits)))
-        for bits in itertools.product((0, 1), repeat=2)
-    ]
-    return holevo_information(ensemble)
+    c = math.cos(_check_theta(theta))
+    return 2.0 * binary_entropy((1.0 + c) / 2.0) - binary_entropy((1.0 + c * c) / 2.0)
 
 
-def _matching_perms(num_pairs: int) -> list[list[int]]:
-    """One qubit relabeling per perfect matching of the 2N probe positions:
-    the canonical product's pair i lands on the matching's i-th edge."""
-    perms = []
-    for matching in perfect_matchings(range(2 * num_pairs)):
-        perm = [0] * (2 * num_pairs)
-        for i, (a, b) in enumerate(matching):  # a < b in every yielded edge
-            perm[a], perm[b] = 2 * i, 2 * i + 1
-        perms.append(perm)
-    return perms
+@functools.lru_cache(maxsize=_POP_ENUMERATION_LIMIT + 1)
+def _jx_eigenvectors(spin: int) -> np.ndarray:
+    """Eigenvectors of J_x for spin ``spin`` in the J_z basis (rows by
+    ascending m), one column per J_x eigenvalue -spin..spin in order."""
+    m = np.arange(-spin, spin)
+    step = 0.5 * np.sqrt(spin * (spin + 1) - m * (m + 1.0))
+    vectors = np.linalg.eigh(np.diag(step, 1) + np.diag(step, -1))[1]
+    vectors.flags.writeable = False
+    return vectors
 
 
-def _pop_multiset_state(
-    sigma: dict[tuple[int, int], np.ndarray],
-    multiset: tuple[tuple[int, int], ...],
-    perms: Sequence[Sequence[int]],
-) -> tuple[int, np.ndarray]:
-    """The placement-averaged probe state shared by every message whose
-    dense-coded symbols form ``multiset``, and the number of those messages.
+def _pop_log_weights(num_pairs: int) -> np.ndarray:
+    """log p_k(m), shape (N + 1, 2N + 1): the weight that rho_k, the
+    placement-averaged state of k sigma1 pairs and N - k sigma0 pairs,
+    gives each product of probe states f_x whose J_z = N - |x| is m
+    (column m + N); -inf where it gives none.
 
-    Averaging over the assignments of pairs to matched edges is averaging
-    the canonical product (pair i on qubits 2i, 2i+1) over the distinct
-    orderings of the multiset; the matchings in ``perms`` do the rest.
+    Of the k sigma1 pairs, ``ones`` ~ Binomial(k, 1/2) put f1 on both
+    probes, so |x| = N - k + 2 ones, and the placement average spreads that
+    weight evenly over the C(2N, |x|) strings of that weight.
     """
-    orderings = sorted(set(itertools.permutations(multiset)))
-    dim = 4 ** len(multiset)
-    symmetric = np.zeros((dim, dim), dtype=complex)
-    for ordering in orderings:
-        canonical = np.eye(1, dtype=complex)
-        for bits in ordering:
-            canonical = np.kron(sigma[bits], canonical)
-        symmetric += canonical
-    symmetric /= len(orderings)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for perm in perms:
-        acc += _permute_qubits_raw(symmetric, perm)
-    return len(orderings), acc / len(perms)
+    n = num_pairs
+    table = np.full((n + 1, 2 * n + 1), -np.inf)
+    for k in range(n + 1):
+        for ones in range(k + 1):
+            m = k - 2 * ones
+            table[k, m + n] = (
+                math.log(math.comb(k, ones)) - k * math.log(2.0)
+                - math.log(math.comb(2 * n, n - m))
+            )
+    return table
+
+
+def _pop_state_entropies(theta: float, num_pairs: int) -> tuple[np.ndarray, np.ndarray]:
+    """S(rho_k) in bits and the trace of its kept spectrum, for k = 0..N,
+    from one small eigensolve per spin sector and parity class.
+
+    rho_k = sum_x p_x f_x f_x^T has the nonzero spectrum of the Gram matrix
+    D^1/2 M^(x)2N D^1/2, with D = diag(p_x) and M = [[1, c], [c, 1]].  Both
+    factors commute with qubit permutations, so by Schur-Weyl duality they
+    act on the spin-J sector (J = 0..N) as (2J+1)-square matrices, repeated
+    C(2N, N-J) - C(2N, N-J-1) times: D as p_k(m) on J_z = m, and M^(x)2N
+    as det(M)^(N-J) Sym^2J(M), diagonal in the J_x basis with entries
+    4^N cos^2(theta/2)^(N+m_x) sin^2(theta/2)^(N-m_x).  p_k(m) is zero
+    unless m = k mod 2, so each sector splits into two parity classes,
+    solved for every k of that parity in one batched call.  Eigenvalues
+    within rounding of zero relative to their block's largest are
+    dropped.
+    """
+    n = num_pairs
+    cos2, sin2 = math.cos(theta / 2.0) ** 2, math.sin(theta / 2.0) ** 2
+    log_weights = _pop_log_weights(n)
+    entropy, trace = np.zeros(n + 1), np.zeros(n + 1)
+    for spin in range(n + 1):
+        multiplicity = math.comb(2 * n, n - spin)
+        if spin < n:
+            multiplicity -= math.comb(2 * n, n - spin - 1)
+        m = np.arange(-spin, spin + 1)  # the J_z and the J_x eigenvalues alike
+        vectors = _jx_eigenvectors(spin)
+        gram = (vectors * (4.0**n * cos2 ** (n + m) * sin2 ** (n - m))) @ vectors.T
+        for parity in (0, 1):
+            rows = m[(m - parity) % 2 == 0]
+            if not rows.size:
+                continue
+            ks = np.arange(parity, n + 1, 2)
+            root = np.exp(0.5 * log_weights[np.ix_(ks, rows + n)])
+            block = root[:, :, None] * gram[np.ix_(rows + spin, rows + spin)] * root[:, None, :]
+            eigs = np.linalg.eigvalsh(block)
+            eigs[eigs <= eigs[:, -1:] * rows.size * np.finfo(float).eps] = 0.0
+            trace[ks] += multiplicity * eigs.sum(axis=1)
+            logs = np.log2(eigs, out=np.zeros_like(eigs), where=eigs > 0.0)
+            entropy[ks] -= multiplicity * (eigs * logs).sum(axis=1)
+    return entropy, trace
 
 
 def pop_eve_information(theta: float, num_pairs: int) -> float:
@@ -435,31 +469,29 @@ def pop_eve_information(theta: float, num_pairs: int) -> float:
 
     With uniform permutation scrambling the attacker holds 2N probes but
     does not know which positions pair up nor which pair carries which
-    message slot, so her state per message is the average over every
-    placement: each perfect matching of the 2N positions combined with
-    each assignment of pairs to matched edges.  (Probe-pair states are
-    symmetric under swapping the two probes, so orientation within an
-    edge does not matter.)  That average depends only on the multiset of
-    the message's dense-coded symbols, so the ensemble has one state per
-    multiset (20 at N = 3, 35 at N = 4, against 4^N messages), weighted
-    by its number of orderings.  Each state is the canonical product
-    symmetrized over those orderings, which is the assignment average,
-    then averaged over the (2N-1)!! perfect matchings.  Exact, hence
-    limited to N <= 4.
+    message slot, so the probe state per message is the average over every
+    placement: matchings times assignments times orientations, which is
+    the full average over the (2N)! permutations of the probes.  A
+    message's state then depends only on k, its number of sigma1 pairs,
+    which is Binomial(N, 1/2) over uniform messages; the average over
+    messages is tau^(x)2N, of entropy 2N h((1 + cos theta)/2).  The
+    entropies of the N + 1 states rho_k come from their spin-sector
+    spectra (see _pop_state_entropies), so the cost grows like N^5 with
+    no 4^N matrix; N up to 64 pairs takes well under a second.
     """
+    _check_theta(theta)
     if num_pairs < 1:
         raise AdversaryError("num_pairs must be positive")
     if num_pairs > _POP_ENUMERATION_LIMIT:
         raise AdversaryError(
-            f"exact placement averaging supports num_pairs <= {_POP_ENUMERATION_LIMIT}"
+            f"exact PoP information supports num_pairs <= {_POP_ENUMERATION_LIMIT}, "
+            f"got {num_pairs}"
         )
-    sigma = {
-        bits: _pair_probe_state(theta, bits)
-        for bits in itertools.product((0, 1), repeat=2)
-    }
-    perms = _matching_perms(num_pairs)
-    ensemble = []
-    for multiset in itertools.combinations_with_replacement(sigma, num_pairs):
-        count, state = _pop_multiset_state(sigma, multiset, perms)
-        ensemble.append((count / 4**num_pairs, DensityMatrix(state)))
-    return holevo_information(ensemble) / num_pairs
+    n = num_pairs
+    entropy, trace = _pop_state_entropies(theta, n)
+    if np.abs(trace - 1.0).max() > _POP_TRACE_TOL:  # every rho_k has unit trace
+        raise FloatingPointError(
+            f"spin-sector spectra lost trace: max |trace - 1| = {np.abs(trace - 1.0).max():.3g}"
+        )
+    mean_entropy = math.fsum(math.comb(n, k) / 2**n * entropy[k] for k in range(n + 1))
+    return (2 * n * binary_entropy(math.cos(theta / 2.0) ** 2) - mean_entropy) / n

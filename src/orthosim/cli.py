@@ -240,7 +240,7 @@ def _builtin_block_advantage(trials: int, seed: int) -> list[ResultRow]:
             axis="theta", value=theta, trials=0,
             info_ae=stream_eve_information(theta),
         ))
-        for n in (2, 3):
+        for n in (2, 3, 4, 8, 16, 32):
             rows.append(ResultRow(
                 label="block-advantage", kind="pop-qsdc", variant=f"pop-{n}",
                 axis="theta", value=theta, trials=0,
@@ -286,7 +286,7 @@ BUILTINS: dict[str, tuple[str, int, Callable[[int, int], list[ResultRow]]]] = {
         0, _builtin_theta_sweep,
     ),
     "block-advantage": (
-        "per-pair adversary information: streaming vs permuted blocks of 2 and 3",
+        "per-pair adversary information: streaming vs permuted blocks of 2 to 32 pairs",
         0, _builtin_block_advantage,
     ),
     "pairing-guess": (

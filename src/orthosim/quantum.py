@@ -259,19 +259,6 @@ def reduced_state(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(rho.reshape(dim, dim))
 
 
-def _permute_qubits_raw(mat: np.ndarray, perm: Sequence[int]) -> np.ndarray:
-    """Relabel qubits of a density matrix: new qubit ``j`` is old qubit
-    ``perm[j]``."""
-    n = _num_qubits_for(mat.shape[0])
-    if sorted(perm) != list(range(n)):
-        raise QuantumValidationError(f"{perm!r} is not a permutation of 0..{n - 1}")
-    row_order = [n - 1 - perm[n - 1 - t] for t in range(n)]
-    order = row_order + [n + a for a in row_order]
-    return (
-        mat.reshape([2] * (2 * n)).transpose(order).reshape(mat.shape)
-    )
-
-
 def von_neumann_entropy(dm: DensityMatrix) -> float:
     """Entropy in bits; eigenvalues in [-1e-10, 0) are clipped to zero."""
     eigs = dm.spectrum

@@ -160,10 +160,12 @@ def test_criterion_05_scrambling_strictly_cuts_eavesdropper_information():
     gaps = []
     for theta in (math.pi / 8, math.pi / 4, math.pi / 2):
         streaming = stream_eve_information(theta)
-        scrambled = {n: pop_eve_information(theta, n) for n in (2, 3, 4)}
+        sizes = (2, 3, 4, 8, 16, 32)
+        scrambled = {n: pop_eve_information(theta, n) for n in sizes}
         ok = ok and scrambled[2] < streaming and scrambled[3] < streaming
         ok = ok and scrambled[3] <= scrambled[2]
         ok = ok and scrambled[4] <= scrambled[3]
+        ok = ok and all(scrambled[b] <= scrambled[a] for a, b in zip(sizes, sizes[1:]))
         gaps.append(streaming - scrambled[2])
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
@@ -172,7 +174,7 @@ def test_criterion_05_scrambling_strictly_cuts_eavesdropper_information():
         ok,
         "exactly placement-averaged block information stays strictly below the "
         "streaming value and is nonincreasing in N for theta in "
-        f"(pi/8, pi/4, pi/2), N in (2,3,4); min gap {min(gaps):.4f} bits, "
+        f"(pi/8, pi/4, pi/2), N in (2,3,4,8,16,32); min gap {min(gaps):.4f} bits, "
         f"{elapsed:.1f}s (budget 120s)",
     )
 

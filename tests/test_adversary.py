@@ -6,14 +6,14 @@ import pytest
 from scipy.stats import hypergeom
 
 from orthosim.adversary import (
+    _POP_ENUMERATION_LIMIT,
     AdversaryError,
     AttackReport,
     GltInterceptResend,
     ProbeAttack,
     QuantumInterceptResend,
-    _matching_perms,
-    _pair_probe_state,
-    _pop_multiset_state,
+    _pop_log_weights,
+    _pop_state_entropies,
     escape_probability,
     escape_probability_checked,
     escape_probability_sampled,
@@ -31,14 +31,15 @@ from orthosim.quantum import (
     DensityMatrix,
     ProbeAttackSpec,
     QuantumRegistry,
-    _permute_qubits_raw,
     dense_encode,
     holevo_information,
+    probe_interact,
+    reduced_state,
     singlet,
 )
 from orthosim.transport import ParticleBlock
 from conftest import assert_frequency
-from test_quantum import _ORACLE_BELL
+from test_quantum import _ORACLE_BELL, _permute_qubits_raw
 
 S2 = 1.0 / math.sqrt(2)
 
@@ -435,6 +436,16 @@ def test_probe_attack_rejects_gbits():
 # ---------------------------------------------------------------- Holevo evaluations
 
 
+def _pair_probe_state(theta, bits):
+    """Eve's joint 2-probe state for one encoded pair, both halves probed,
+    on the exact state-vector path: the oracle for the closed forms."""
+    encoded = dense_encode(bits, singlet())
+    spec = ProbeAttackSpec(theta)
+    joint = probe_interact(encoded, spec, system_qubit=0)
+    joint = probe_interact(joint, spec, system_qubit=1)
+    return reduced_state(joint, [2, 3]).matrix
+
+
 def _pair_states(theta):
     return {
         bits: _pair_probe_state(theta, bits)
@@ -479,6 +490,96 @@ def _exhaustive_pop_information(theta, num_pairs):
     return holevo_information(ensemble) / num_pairs
 
 
+def _matching_perms(num_pairs):
+    """One qubit relabeling per perfect matching of the 2N probe positions:
+    the canonical product's pair i lands on the matching's i-th edge."""
+    perms = []
+    for matching in perfect_matchings(range(2 * num_pairs)):
+        perm = [0] * (2 * num_pairs)
+        for i, (a, b) in enumerate(matching):  # a < b in every yielded edge
+            perm[a], perm[b] = 2 * i, 2 * i + 1
+        perms.append(perm)
+    return perms
+
+
+def _pop_multiset_state(sigma, multiset, perms):
+    """The placement-averaged probe state shared by every message whose
+    dense-coded symbols form ``multiset``, and the number of those messages.
+
+    Averaging over the assignments of pairs to matched edges is averaging
+    the canonical product (pair i on qubits 2i, 2i+1) over the distinct
+    orderings of the multiset; the matchings in ``perms`` do the rest.
+    """
+    orderings = sorted(set(itertools.permutations(multiset)))
+    dim = 4 ** len(multiset)
+    symmetric = np.zeros((dim, dim), dtype=complex)
+    for ordering in orderings:
+        canonical = np.eye(1, dtype=complex)
+        for bits in ordering:
+            canonical = np.kron(sigma[bits], canonical)
+        symmetric += canonical
+    symmetric /= len(orderings)
+    acc = np.zeros((dim, dim), dtype=complex)
+    for perm in perms:
+        acc += _permute_qubits_raw(symmetric, perm)
+    return len(orderings), acc / len(perms)
+
+
+def _multiset_pop_information(theta, num_pairs):
+    """Reference for pop_eve_information up to N = 4: one ensemble state
+    per symbol multiset, weighted by its number of orderings, each averaged
+    over the perfect matchings."""
+    sigma = _pair_states(theta)
+    perms = _matching_perms(num_pairs)
+    ensemble = []
+    for multiset in itertools.combinations_with_replacement(sigma, num_pairs):
+        count, state = _pop_multiset_state(sigma, multiset, perms)
+        ensemble.append((count / 4**num_pairs, DensityMatrix(state)))
+    return holevo_information(ensemble) / num_pairs
+
+
+def _gram_pop_information(theta, num_pairs):
+    """Reference for pop_eve_information with no spin sectors: each rho_k
+    = sum_x p_x f_x f_x^T through its dense Gram matrix D^1/2 M^(x)2N D^1/2
+    over all 4^N strings x, weights from exact integer binomials, and the
+    average state through the same Gram with the averaged weights."""
+    n, c = num_pairs, math.cos(theta)
+    gram = np.ones((1, 1))
+    for _ in range(2 * n):
+        gram = np.kron(gram, [[1.0, c], [c, 1.0]])
+    ones = np.array([bin(x).count("1") for x in range(4**n)])
+
+    def entropy(weights):
+        root = np.sqrt(weights)
+        eigs = np.linalg.eigvalsh(root[:, None] * gram * root[None, :])
+        eigs = eigs[eigs > eigs[-1] * 1e-14]
+        return float(-(eigs * np.log2(eigs)).sum())
+
+    average = np.zeros(4**n)
+    mean_entropy = 0.0
+    for k in range(n + 1):
+        p_k = math.comb(n, k) / 2**n
+        weights = np.zeros(4**n)
+        for both_f1 in range(k + 1):
+            w = n - k + 2 * both_f1
+            weights[ones == w] = math.comb(k, both_f1) / 2**k / math.comb(2 * n, w)
+        average += p_k * weights
+        mean_entropy += p_k * entropy(weights)
+    return (entropy(average) - mean_entropy) / n
+
+
+@pytest.mark.parametrize("bits", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_pair_probe_states_have_the_closed_form(bits):
+    # the X code bit b1 alone picks sigma0 = (f0 f1 + f1 f0)/2 (b1 = 0) or
+    # sigma1 = (f0 f0 + f1 f1)/2 (b1 = 1)
+    for theta in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2):
+        f = [np.array([1.0, 0.0]), np.array([math.cos(theta), math.sin(theta)])]
+        pairs = ((0, 0), (1, 1)) if bits[1] else ((0, 1), (1, 0))
+        # the second probe (qubit 3) is the high kron factor
+        closed = sum(np.kron(np.outer(f[b], f[b]), np.outer(f[a], f[a])) for a, b in pairs) / 2
+        np.testing.assert_allclose(_pair_probe_state(theta, bits), closed, rtol=0.0, atol=1e-12)
+
+
 def test_pair_probe_states_symmetric_under_swap():
     for theta in BLOCK_ADVANTAGE_TABLE:
         for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -491,6 +592,15 @@ def test_pair_probe_states_symmetric_under_swap():
 def test_stream_information_endpoints():
     assert stream_eve_information(0.0) == pytest.approx(0.0, abs=1e-12)
     assert stream_eve_information(math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stream_information_closed_form_matches_pair_states():
+    # Holevo quantity of the four equiprobable 2-probe states, exactly
+    for theta in np.linspace(0.0, math.pi / 2, 8):
+        ensemble = [(0.25, DensityMatrix(s)) for s in _pair_states(theta).values()]
+        assert stream_eve_information(theta) == pytest.approx(
+            holevo_information(ensemble), abs=1e-14
+        )
 
 
 def test_block_advantage_exact_values():
@@ -517,8 +627,10 @@ def test_pop_information_trivial_block_matches_streaming():
 def test_pop_information_guards():
     with pytest.raises(AdversaryError):
         pop_eve_information(0.3, 0)
+    with pytest.raises(AdversaryError, match=f"num_pairs <= {_POP_ENUMERATION_LIMIT}"):
+        pop_eve_information(0.3, 65)
     with pytest.raises(AdversaryError):
-        pop_eve_information(0.3, 5)
+        pop_eve_information(-0.1, 2)
 
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 8, 0.3, math.pi / 4, math.pi / 2])
@@ -535,14 +647,47 @@ def test_pop_information_matches_exhaustive_placements(theta, num_pairs):
     ids=["four-symbols", "two-repeated"],
 )
 def test_pop_multiset_state_matches_exhaustive_placements_at_four_pairs(message):
-    # the only independent check of N = 4: one multiset state against the
-    # average over all 105 matchings x 24 assignments of an unsorted message
+    # the multiset oracle itself: one multiset state against the average
+    # over all 105 matchings x 24 assignments of an unsorted message
     sigma = _pair_states(0.3)
     count, state = _pop_multiset_state(sigma, tuple(sorted(message)), _matching_perms(4))
     assert count == len(set(itertools.permutations(message)))
     np.testing.assert_allclose(
         state, _exhaustive_pop_state(sigma, message), rtol=0.0, atol=1e-12
     )
+
+
+def test_pop_information_matches_multiset_oracle_at_four_pairs():
+    assert pop_eve_information(0.3, 4) == pytest.approx(
+        _multiset_pop_information(0.3, 4), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("theta", [math.pi / 8, 0.3, math.pi / 2])
+@pytest.mark.parametrize("num_pairs", [1, 2, 3, 4, 5])
+def test_pop_information_matches_dense_gram(theta, num_pairs):
+    assert pop_eve_information(theta, num_pairs) == pytest.approx(
+        _gram_pop_information(theta, num_pairs), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("theta", [math.pi / 8, math.pi / 4, math.pi / 2])
+def test_pop_information_at_large_blocks(theta):
+    # an absolute eigenvalue cutoff drops the many tiny eigenvalues of the
+    # large sectors and reports more than the streaming value per pair
+    stream = stream_eve_information(theta)
+    previous = stream
+    for n in (1, 2, 4, 8, 16, 32, 64):
+        info = pop_eve_information(theta, n)
+        assert 0.0 <= info <= stream + 1e-12
+        assert info <= previous + 1e-12
+        previous = info
+        # each rho_k's weights sum to 1 over the strings, and its spectrum,
+        # summed over the spin sectors with their multiplicities, keeps that
+        strings = np.array([math.comb(2 * n, w) for w in range(2 * n, -1, -1)], dtype=float)
+        np.testing.assert_allclose(np.exp(_pop_log_weights(n)) @ strings, 1.0, rtol=0, atol=1e-12)
+        traces = _pop_state_entropies(theta, n)[1]
+        np.testing.assert_allclose(traces, 1.0, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- pairing guess
@@ -590,6 +735,15 @@ def test_permutation_attack_carries_block_information():
     report = permutation_attack([(0, 1), (2, 3)], rng, trials=10, theta=math.pi / 4)
     assert report.eve_information == pytest.approx(0.13212610286187454, abs=1e-9)
     assert report.strategy == "pairing-guess"
+
+
+def test_permutation_attack_information_up_to_the_exact_limit():
+    rng = np.random.default_rng(26)
+    truth = [(2 * i, 2 * i + 1) for i in range(20)]
+    report = permutation_attack(truth, rng, theta=0.3)
+    assert report.eve_information == pop_eve_information(0.3, 20)
+    truth = [(2 * i, 2 * i + 1) for i in range(_POP_ENUMERATION_LIMIT + 1)]
+    assert permutation_attack(truth, rng, theta=0.3).eve_information is None
 
 
 def test_permutation_attack_validation():

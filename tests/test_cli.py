@@ -13,7 +13,7 @@ from orthosim.config import dump_config, load_config
 from orthosim.protocols import RESULT_SCHEMA
 
 from conftest import assert_frequency
-from test_adversary import _exhaustive_pop_information
+from test_adversary import _exhaustive_pop_information, _multiset_pop_information
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -107,15 +107,21 @@ def test_theta_sweep_is_exact_and_monotone(tmp_path):
 def test_block_advantage_matches_enumeration(tmp_path):
     assert main(["run", "--builtin", "block-advantage", "--out", str(tmp_path)]) == 0
     rows = read_rows(tmp_path / "block-advantage.csv")
-    assert len(rows) == 9
+    assert len(rows) == 21
     for row in rows:
         theta = float(row["value"])
-        expected = {
-            "stream": stream_eve_information(theta),
-            "pop-2": _exhaustive_pop_information(theta, 2),
-            "pop-3": _exhaustive_pop_information(theta, 3),
-        }[row["variant"]]
-        assert float(row["info_ae"]) == pytest.approx(expected, abs=1e-12)
+        oracle = {
+            "stream": stream_eve_information,
+            "pop-2": lambda t: _exhaustive_pop_information(t, 2),
+            "pop-3": lambda t: _exhaustive_pop_information(t, 3),
+            "pop-4": lambda t: _multiset_pop_information(t, 4),
+        }.get(row["variant"])
+        if oracle is not None:
+            assert float(row["info_ae"]) == pytest.approx(oracle(theta), abs=1e-12)
+    for theta in {row["value"] for row in rows}:
+        # per-pair information falls as the permuted block grows
+        info = [float(r["info_ae"]) for r in rows if r["value"] == theta]
+        assert all(b < a for a, b in zip(info, info[1:]))
 
 
 def test_pairing_guess_frequencies(tmp_path):

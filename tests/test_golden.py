@@ -70,18 +70,18 @@ GOLDEN = {
     ('pop-clean', 2): 'ec4209f994db799371a1464a64f7b34c6e4d637a43b0dac79c5b524bf2ef87f3',
     ('pop-noisy', 1): 'a1be7741d69a50a2bdf165ea0bd41e2cb2cf1302a669bb69d4d03b048a317190',
     ('pop-noisy', 2): 'bbee07e1fac11ed2ac573f2d34965eb88b4dcb69c82691f83da51c5a2591fb1b',
-    ('pop-probed', 1): '4e9d5d0f7b4a89a8f10ad5345c360c68c58d8cfb9db7a275fd70b6154ab68e03',
-    ('pop-probed', 2): '0b421add2b1a79af00428570598bc631c88108598cfb0acf42a6fa8d874d9189',
-    ('pop-probed-exact', 1): '49dcac20db0957eaed592ae1a3b24a8bbb3c5135d50bda9f8ae499989551e1b1',
-    ('pop-probed-exact', 2): '49dcac20db0957eaed592ae1a3b24a8bbb3c5135d50bda9f8ae499989551e1b1',
+    ('pop-probed', 1): '60aa7a1559c118079501f85fcfa240929d3d5c8c7380f1476efd0c71fd7fc3b3',
+    ('pop-probed', 2): '492c27a1a4d982627cb43d9fdd36895bfe8b9e1704d7d784809fb56451419669',
+    ('pop-probed-exact', 1): '168abb5ded3a11b6525fd5fcde50fd580e33248aa6541555bf73699988dd5f9c',
+    ('pop-probed-exact', 2): '168abb5ded3a11b6525fd5fcde50fd580e33248aa6541555bf73699988dd5f9c',
     ('stream-clean', 1): 'abadb0b27c871d0ac75c48f852123d7e03eb57e74c9d48de247f706fdfaa742c',
     ('stream-clean', 2): '9f5a35339d5c861fecdce1ddac4aedc327f488711a3792cd6a0791d9159d8c7a',
     ('stream-intercepted', 1): 'f63487b4a9470ee04ecd0b1f0aafc118f8131617a06bd086c539655e9607008f',
     ('stream-intercepted', 2): '4a4a0e3c46d032f98f95baeab3ccfa761337859a7007816f6af05b965fe85ede',
     ('stream-noisy', 1): '40199f11c417ab3c79399b5b2eecb7357563774f9c699ffaefa454de89bc37bb',
     ('stream-noisy', 2): '151dcb420f1583e76f0112e5d106424a2d214bd48c50f7d2ee2513fe7a4be65b',
-    ('stream-probed', 1): 'd5e71b5a449376e7809db3e0ac72048e407172d27eda5517651873ffbcf6f70b',
-    ('stream-probed', 2): '4160f7990e3c31b59483bdd985b65005f1a004c1b7a48c7173fc1a411b29d1cc',
+    ('stream-probed', 1): '5a76e32c7ff503fa80dd0eea888519a09522694d345f200e16451e0538d4c6cc',
+    ('stream-probed', 2): '7b2f6a8195acec6b9d161c6ed0b1c1c2a02708ea9a8c3fa602ba6459b9e406fa',
 }
 
 

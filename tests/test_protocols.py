@@ -340,6 +340,22 @@ def test_pop_probe_information_matches_enumeration():
     assert res.verdict.block_size == 2
 
 
+def test_pop_probe_information_at_large_blocks():
+    res = run(pop(seed=11, n=20, message=(1, 0), threshold=0.05,
+                  adversary=AdversarySpec("probe", theta=0.3)))
+    assert res.attack_report.eve_information == pop_eve_information(0.3, 20) / 2.0
+    assert res.verdict.info_ae == res.attack_report.eve_information
+    assert res.verdict.block_size == 20
+
+
+def test_pop_probe_information_beyond_the_exact_limit():
+    # pop_eve_information refuses N = 65, so the run reports no information
+    res = run(pop(seed=11, n=65, message=(1, 0), threshold=0.05,
+                  adversary=AdversarySpec("probe", theta=0.3)))
+    assert res.attack_report.eve_information is None
+    assert res.verdict is None
+
+
 def test_pop_pairing_guess_reported():
     res = run(pop(seed=11, n=2, message=(1,), threshold=0.01,
                   adversary=AdversarySpec("probe", theta=0.3, guess_pairing=True)))

@@ -21,7 +21,6 @@ from orthosim.quantum import (
     QuantumValidationError,
     ResourceLimitError,
     StateVector,
-    _permute_qubits_raw,
     apply_channel,
     apply_single_qubit_gate,
     basis_state,
@@ -48,6 +47,16 @@ def kron_op(op, qubit, n):
     for m in mats:  # highest qubit becomes the leftmost kron factor
         out = np.kron(m, out)
     return out
+
+
+def _permute_qubits_raw(mat, perm):
+    """Relabel qubits of a density matrix: new qubit ``j`` is old qubit
+    ``perm[j]``."""
+    n = mat.shape[0].bit_length() - 1
+    assert sorted(perm) == list(range(n)), f"{perm!r} is not a permutation of 0..{n - 1}"
+    row_order = [n - 1 - perm[n - 1 - t] for t in range(n)]
+    order = row_order + [n + a for a in row_order]
+    return mat.reshape([2] * (2 * n)).transpose(order).reshape(mat.shape)
 
 
 def random_state(rng, n):
