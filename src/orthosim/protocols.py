@@ -141,10 +141,10 @@ class RunResult:
             "detection_events": [bool(e) for e in self.detection_events],
             "verdict": asdict(self.verdict) if self.verdict else None,
             "attack_report": None,
-            "transcript": [asdict(r) for r in self.transcript.records],
+            "transcript": self.transcript.to_dicts(),
         }
         if self.attack_report is not None:
-            raw = asdict(self.attack_report)
+            raw = dict(vars(self.attack_report))  # flat fields: asdict would deepcopy the events
             raw["detection_events"] = [bool(e) for e in raw["detection_events"]]
             doc["attack_report"] = raw
         return doc
@@ -389,7 +389,7 @@ def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunRes
     on a fraction of rounds estimates the per-bit error rate. The rounds
     run as one block: pairs are independent, so the stream (half 0 then
     half 1 of each pair, in round order) goes through the channel in a
-    single send with one transcript record per particle.
+    single send, logged as one transcript run of per-particle records.
     """
     config.ensure_valid()
     if config.kind != "stream-qkd":

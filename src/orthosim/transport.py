@@ -158,48 +158,68 @@ class TranscriptRecord:
 
 @dataclass
 class Transcript:
-    """Ordered protocol log, one record per channel event."""
+    """Ordered protocol log, one record per channel event.
 
-    records: list[TranscriptRecord] = field(default_factory=list)
+    The records are held as runs: a first record and a count, standing
+    for that record repeated on consecutive rounds. A streamed block is
+    one run, expanded to one record per carrier only when read.
+    """
 
-    def append(self, record: TranscriptRecord) -> None:
-        if self.records and record.round_index <= self.records[-1].round_index:
+    runs: list[tuple[TranscriptRecord, int]] = field(default_factory=list)
+
+    @property
+    def last_round(self) -> int:
+        """Round of the last record, 0 while the log is empty."""
+        return self.runs[-1][0].round_index + self.runs[-1][1] - 1 if self.runs else 0
+
+    def append(self, record: TranscriptRecord, count: int = 1) -> None:
+        """Log record and its repeats on the next count - 1 rounds."""
+        if count < 0:
+            raise TransportError(f"negative record count {count}")
+        if self.runs and record.round_index <= self.last_round:
             raise TransportError("round indices must be strictly increasing")
-        self.records.append(record)
+        if not count:
+            return
+        if self.runs and record.round_index == self.last_round + 1:
+            first, run = self.runs[-1]
+            if _template(first) == _template(record):
+                self.runs[-1] = (first, run + count)
+                return
+        self.runs.append((record, count))
+
+    @property
+    def records(self) -> list[TranscriptRecord]:
+        """Every record, one per round, expanded from the runs."""
+        return [TranscriptRecord(first.round_index + i, *_template(first))
+                for first, count in self.runs for i in range(count)]
+
+    def to_dicts(self) -> list[dict]:
+        """The records as plain dicts, in field order, built from the runs."""
+        out = []
+        for first, count in self.runs:
+            tail = dict(zip(_FIELDS[1:], _template(first)))
+            out += [{"round_index": first.round_index + i, **tail} for i in range(count)]
+        return out
 
     def to_jsonl(self) -> str:
-        lines = []
-        for r in self.records:
-            lines.append(
-                json.dumps(
-                    {
-                        "round_index": r.round_index,
-                        "channel": r.channel,
-                        "sender": r.sender,
-                        "payload": r.payload,
-                        "tampered": r.tampered,
-                    }
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(json.dumps(d) + "\n" for d in self.to_dicts())
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
         transcript = cls()
         for line in text.splitlines():
-            if not line.strip():
-                continue
-            raw = json.loads(line)
-            transcript.append(
-                TranscriptRecord(
-                    round_index=raw["round_index"],
-                    channel=raw["channel"],
-                    sender=raw["sender"],
-                    payload=raw["payload"],
-                    tampered=raw["tampered"],
-                )
-            )
+            if line.strip():
+                raw = json.loads(line)
+                transcript.append(TranscriptRecord(*(raw[key] for key in _FIELDS)))
         return transcript
+
+
+_FIELDS = ("round_index", "channel", "sender", "payload", "tampered")
+
+
+def _template(record: TranscriptRecord) -> tuple:
+    """Everything of a record but its round, shared along a run."""
+    return record.channel, record.sender, record.payload, record.tampered
 
 
 # ---------------------------------------------------------------- channel
@@ -226,11 +246,6 @@ class Channel:
         self.noise = noise
         self.noise_rng = noise_rng
         self.transcript = transcript if transcript is not None else Transcript()
-        self._round = 0
-
-    def _next_round(self) -> int:
-        self._round += 1
-        return self._round
 
     def send_block(
         self,
@@ -244,7 +259,8 @@ class Channel:
         The block travels whole: perm is a gather index array or None
         (order kept), and Eve and the noise each act once on the block.
         stream=True logs one record per carrier, as a stream of
-        one-carrier sends, instead of one for the block.
+        one-carrier sends, instead of one for the block; the transcript
+        stores them as one run.
         """
         kind = _CARRIER_KINDS[type(carriers)]
         if self.noise is not None and isinstance(carriers, GbitBlock):
@@ -270,26 +286,18 @@ class Channel:
         if self.noise is not None:
             block.registry.apply_noise(block.pairs, block.qubits, self.noise, self.noise_rng)
         count, size = (len(block), 1) if stream else (1, len(block))
-        payload = f"block len={size} kinds={kind}"
-        for _ in range(count):
-            self.transcript.append(
-                TranscriptRecord(
-                    self._next_round(), "carrier", sender, payload, self.eve_hook is not None
-                )
-            )
+        record = TranscriptRecord(
+            self.transcript.last_round + 1, "carrier", sender,
+            f"block len={size} kinds={kind}", self.eve_hook is not None,
+        )
+        self.transcript.append(record, count)
         return block
 
     def broadcast(self, payload: object, sender: str, description: str) -> object:
         """Authenticated classical broadcast; Eve reads, cannot write."""
         if self.eve_hook is not None:
             self.eve_hook.observe_classical(payload)
-        self.transcript.append(
-            TranscriptRecord(
-                round_index=self._next_round(),
-                channel="classical",
-                sender=sender,
-                payload=description,
-                tampered=False,
-            )
-        )
+        self.transcript.append(TranscriptRecord(
+            self.transcript.last_round + 1, "classical", sender, description, False
+        ))
         return payload

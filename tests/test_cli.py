@@ -249,6 +249,19 @@ def test_metrics_reports_saved_run(tmp_path, capsys):
     assert "condition_holds = " in out
 
 
+def test_streamed_run_document_lists_every_particle(tmp_path, capsys):
+    ini = (CONFIG_DIR / "stream_qkd_probe.ini").read_text()
+    config_path = tmp_path / "probe50.ini"
+    config_path.write_text(ini.replace("block_size = 500", "block_size = 50"))
+    path = make_result(tmp_path, config_path)
+    assert len(json.loads(path.read_text())["transcript"]) == 102
+    capsys.readouterr()
+    assert main(["metrics", "--result", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "transcript_records = 102" in out
+    assert "tampered_records = 100" in out
+
+
 def test_metrics_threshold_override(tmp_path, capsys):
     path = make_result(tmp_path)
     assert main(["metrics", "--result", str(path), "--threshold", "0.2"]) == 0

@@ -1,7 +1,9 @@
 """End-to-end protocol runs, attack signatures, and reductions."""
 
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from orthosim.quantum import BellOutcome
 from orthosim.transport import Transcript
 
 from conftest import assert_frequency, binomial_margin
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def glt(seed=0, n=100, f=0.5, **kw):
@@ -404,6 +407,39 @@ def test_pop_transcript_shape_and_serialization():
     assert len(classical) == 4
     text = res.transcript.to_jsonl()
     assert Transcript.from_jsonl(text).records == records
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_transcript_document_matches_record_oracle(name):
+    res = run(GOLDEN_CONFIGS[name], seed=1)
+    expected = [dataclasses.asdict(r) for r in res.transcript.records]
+    assert res.to_json_dict()["transcript"] == expected
+
+
+def test_stream_transcript_has_a_record_per_particle():
+    n = 25
+    res = run(stream(seed=3, n=n, adversary=AdversarySpec("probe", theta=0.4)))
+    records = res.transcript.records
+    assert [r.round_index for r in records] == list(range(1, 2 * n + 3))
+    assert [r.channel for r in records] == ["carrier"] * (2 * n) + ["classical"] * 2
+    assert len(res.transcript.runs) == 3
+
+
+def test_large_stream_run_memory_stays_small():
+    # a streamed block is one transcript run, so the log adds no per-particle
+    # objects; the pair engine itself is a few bytes per pair
+    config = stream(seed=2, n=100_000, threshold=0.2,
+                    adversary=AdversarySpec("probe", theta=0.4),
+                    noise=NoiseSpec("depolarizing", 0.01))
+    run(stream(seed=2, n=10, threshold=0.2))  # warm imports and caches
+    tracemalloc.start()
+    try:
+        res = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.outcome == "completed"
+    assert peak < 30e6
 
 
 def test_result_serializes_to_plain_json():

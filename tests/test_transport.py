@@ -207,6 +207,42 @@ def test_round_indices_strictly_increase():
     transcript.append(TranscriptRecord(2, "carrier", "alice", "c", False))
 
 
+def test_streamed_block_is_one_run():
+    reg = QuantumRegistry()
+    reg.allocate(3)
+    channel = Channel()
+    channel.send_block(ParticleBlock(reg, [0, 0, 1, 1, 2, 2], [0, 1] * 3), None, stream=True)
+    channel.send_block(ParticleBlock(reg, [0, 1], [0, 0]), None, stream=True)
+    channel.broadcast([1], sender="bob", description="bits n=1")
+    transcript = channel.transcript
+    assert [count for _, count in transcript.runs] == [8, 1]  # the second stream continues
+    assert transcript.last_round == 9
+    restored = Transcript.from_jsonl(transcript.to_jsonl())
+    assert restored.records == transcript.records
+    assert len(restored.runs) == len(transcript.runs)
+    assert restored == transcript
+
+
+def test_round_inside_a_stored_run_is_rejected():
+    transcript = Transcript()
+    transcript.append(TranscriptRecord(1, "carrier", "alice", "block len=1", False), count=5)
+    for round_index in (1, 3, 5):
+        with pytest.raises(TransportError):
+            transcript.append(TranscriptRecord(round_index, "classical", "bob", "b", False))
+    with pytest.raises(TransportError):
+        transcript.append(TranscriptRecord(6, "classical", "bob", "b", False), count=-1)
+    transcript.append(TranscriptRecord(6, "carrier", "alice", "block len=1", True))
+    assert [count for _, count in transcript.runs] == [5, 1]  # tampering breaks the run
+
+
+def test_channel_continues_a_given_transcript():
+    transcript = Transcript()
+    transcript.append(TranscriptRecord(1, "classical", "alice", "hello", False))
+    channel = Channel(transcript=transcript)
+    channel.broadcast([0], sender="bob", description="reply")
+    assert [r.round_index for r in transcript.records] == [1, 2]
+
+
 def test_transcript_jsonl_roundtrip():
     channel = Channel()
     channel.send_block(tagged_gbits(2), None)
