@@ -7,12 +7,13 @@ is why register sizes are capped at ``MAX_QUBITS``.
 Also houses the Bell-pair toolbox (singlet preparation, dense coding, Bell
 projection), the probe-interaction family used by eavesdropping models,
 memoryless noise channels, and :class:`QuantumRegistry`, the batched pair
-engine that holds each pair of a protocol run as a Pauli frame on a
-singlet or a product of eigenstates, a few integers per pair.
+engine that holds each pair of a protocol run as one int8 state code, a
+Pauli frame on a singlet or a product of eigenstates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -334,35 +335,6 @@ class NoiseChannel:
         ]
 
 
-def _apply_gate_dm(mat: np.ndarray, gate: np.ndarray, qubit: int) -> np.ndarray:
-    n = _num_qubits_for(mat.shape[0])
-    axis = _axis(n, qubit)
-    arr = mat.reshape([2] * (2 * n))
-    arr = np.moveaxis(arr, axis, 0).reshape(2, -1)
-    arr = (gate @ arr).reshape([2] * (2 * n))
-    arr = np.moveaxis(arr, 0, axis)
-    # same rotation on the column index
-    arr = np.moveaxis(arr, n + axis, 0).reshape(2, -1)
-    arr = (gate.conj() @ arr).reshape([2] * (2 * n))
-    arr = np.moveaxis(arr, 0, n + axis)
-    return arr.reshape(mat.shape)
-
-
-def apply_channel(state, channel: NoiseChannel, qubit: int) -> DensityMatrix:
-    """Exact channel action on one qubit; accepts a StateVector or
-    DensityMatrix and returns the output DensityMatrix."""
-    if isinstance(state, StateVector):
-        dm = density(state)
-    elif isinstance(state, DensityMatrix):
-        dm = state
-    else:
-        raise QuantumValidationError(f"unsupported state type {type(state)!r}")
-    out = np.zeros_like(dm.matrix)
-    for kraus in channel.kraus_operators():
-        out = out + _apply_gate_dm(dm.matrix, kraus, qubit)
-    return DensityMatrix(out)
-
-
 # --------------------------------------------------------------- probe family
 
 
@@ -403,47 +375,88 @@ def probe_interact(system: StateVector, spec: ProbeAttackSpec, system_qubit: int
 # --------------------------------------------------------------- pair engine
 
 
-# (X, Z) exponents of each Pauli, applied as X^x Z^z; Y is XZ up to the
+# Pauli index 2x + z of each Pauli, applied as X^x Z^z; Y is XZ up to the
 # global phase i, which no measurement sees
-_PAULI_BITS = ((PAULI_I, 0, 0), (PAULI_X, 1, 0), (PAULI_Y, 1, 1), (PAULI_Z, 0, 1))
+_PAULI_INDEX = ((PAULI_I, 0), (PAULI_X, 2), (PAULI_Y, 3), (PAULI_Z, 1))
 
-# frame (x, z) of each BellOutcome: PHI+, PHI-, PSI+, PSI- = X^x Z^z (half 0) |PSI->
-_OUTCOME_FRAME = np.array([(1, 1), (1, 0), (0, 1), (0, 0)])
+
+def _pack(bases: list[int], values: list[int]) -> int:
+    """Code of a product of eigenstates, from its basis and value per half."""
+    return 4 + 4 * (2 * bases[0] + values[0]) + 2 * bases[1] + values[1]
+
+
+def _pair_tables() -> tuple[np.ndarray, ...]:
+    """Each registry operation applied once to each pair code: the code
+    after X^x Z^z (half, 2x + z, code), a measurement's p0 (half, basis,
+    code) and code after it (half, basis, seen, code), and the cumulative
+    Born probabilities of a Bell measurement (first three outcomes, code)."""
+    pauli, p0 = np.empty((2, 4, 20), np.int8), np.empty((2, 2, 20))
+    after, bell = np.zeros((2, 2, 2, 20), np.int8), np.empty((3, 20))
+    for code in range(20):
+        if code < 4:
+            frame, bases, values = code, [-1, -1], [0, 0]
+        else:
+            frame, s = -1, divmod(code - 4, 4)
+            bases, values = [t >> 1 for t in s], [t & 1 for t in s]
+        for half, xz in itertools.product((0, 1), range(4)):
+            # a Pauli on either half of a singlet is the same Pauli on half
+            # 0, up to a phase; X flips a Z eigenstate and Z an X eigenstate
+            flipped = values.copy()
+            flipped[half] ^= xz >> (1 - bases[half]) & 1
+            pauli[half, xz, code] = code ^ xz if frame >= 0 else _pack(bases, flipped)
+        for half, basis, seen in itertools.product((0, 1), repeat=3):
+            # an eigenstate of the basis has p0 of 0 or 1, anything else 1/2
+            p0[half, basis, code] = 1 - values[half] if bases[half] == basis else 0.5
+            b, v = bases.copy(), values.copy()
+            if frame >= 0:  # the partner collapses onto the correlated eigenstate
+                b[1 - half], v[1 - half] = basis, seen ^ 1 ^ (frame >> (1 - basis) & 1)
+            b[half], v[half] = basis, seen
+            after[half, basis, seen, code] = _pack(b, v)
+        # a frame fixes both frame bits; a product fixes the Z parity (x)
+        # if both halves are in Z, the X parity (z) if both are in X
+        parity = 1 ^ values[0] ^ values[1]
+        bits = (frame >> 1, frame & 1) if frame >= 0 else (parity, parity)
+        fixed = [frame >= 0 or bases == [i, i] for i in (0, 1)]
+        # BellOutcome k is frame 3 - k: PHI+, PHI-, PSI+, PSI- = X^x Z^z (half 0) |PSI->
+        probs = [
+            math.prod(float((f >> (1 - i) & 1) == bits[i]) if fixed[i] else 0.5 for i in (0, 1))
+            for f in (3, 2, 1, 0)
+        ]
+        bell[:, code] = np.cumsum(probs)[:3]
+    return pauli, p0, after, bell
+
+
+_PAULI, _P0, _AFTER, _BELL_CUMULATIVE = _pair_tables()
 
 
 class QuantumRegistry:
-    """Batched pair engine: every pair of a run as a few integers.
+    """Batched pair engine: every pair of a run as one int8 state code.
 
-    Qubits 0 and 1 are a pair's halves. A pair is either a Bell frame
-    ``(x, z)``, the state X^x Z^z (half 0) |singlet>, whose bit x flips
-    the halves' Z correlation and z their X correlation, with basis -1 on
-    both halves; or, once a half is measured, a product of eigenstates: a
-    basis (0 = Z, 1 = X) and a value per half. Paulis and Z, X and Bell
-    measurements keep this exact (Pauli-frame tracking), and probes are
-    traced out as they attach.
+    Qubits 0 and 1 are a pair's halves. A pair is either a Bell frame,
+    the state X^x Z^z (half 0) |singlet>, whose bit x flips the halves' Z
+    correlation and z their X correlation: code 2x + z (0-3); or, once a
+    half is measured, a product of eigenstates with s = 2 basis + value
+    per half (basis 0 = Z, 1 = X): code 4 + 4 s0 + s1 (4-19). Paulis and
+    Z, X and Bell measurements keep this exact (Pauli-frame tracking) as
+    lookups in tables built at import; probes are traced out as they attach.
 
     Operations take index arrays, ``pairs`` and the halves hit in each
     (a scalar broadcasts); a (pair, half) may appear once per call.
     """
 
     def __init__(self) -> None:
-        self._frame = np.zeros((0, 2), dtype=np.int8)  # (x, z)
-        self._basis = np.zeros((0, 2), dtype=np.int8)  # per half
-        self._value = np.zeros((0, 2), dtype=np.int8)
+        self._code = np.zeros(0, dtype=np.int8)
 
     @property
     def num_pairs(self) -> int:
-        return self._frame.shape[0]
+        return self._code.size
 
     def allocate(self, count: int = 1) -> np.ndarray:
         """Add ``count`` singlets; returns their pair indices."""
         if count < 1:
             raise QuantumValidationError(f"count must be positive, got {count}")
         first = self.num_pairs
-        self._frame, self._basis, self._value = (
-            np.concatenate([a, np.full((count, 2), fill, a.dtype)])
-            for a, fill in ((self._frame, 0), (self._basis, -1), (self._value, 0))
-        )
+        self._code = np.concatenate([self._code, np.zeros(count, dtype=np.int8)])
         return np.arange(first, first + count)
 
     def _pairs(self, pairs) -> np.ndarray:
@@ -474,15 +487,15 @@ class QuantumRegistry:
         particle.  Dense coding of the bits (b0, b1) is (x, z) = (b1, b0)
         on a pair's half 0."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
-        xz = np.stack(np.broadcast_arrays(x, z, pairs)[:2], axis=1).astype(np.int8)
+        x, z = np.broadcast_arrays(x, z, pairs)[:2]
+        if ((x | z) & ~1).any():
+            raise QuantumValidationError(
+                f"Pauli exponents must be 0 or 1, got x in {np.unique(x).tolist()}"
+                f" and z in {np.unique(z).tolist()}"
+            )
+        xz = 2 * x + z
         for half, where, group in self._groups(pairs, qubits):
-            product = self._basis[group, half] >= 0
-            # a Pauli on either half of a singlet is the same Pauli on
-            # half 0, up to a phase
-            self._frame[group[~product]] ^= xz[where[~product]]
-            # X flips a Z eigenstate and Z an X eigenstate
-            hit = group[product]
-            self._value[hit, half] ^= xz[where[product], self._basis[hit, half]]
+            self._code[group] = _PAULI[half, xz[where], self._code[group]]
 
     def apply_noise(self, pairs, qubits, channel: NoiseChannel, rng) -> None:
         """One stochastic trajectory of the channel on each listed qubit:
@@ -491,12 +504,11 @@ class QuantumRegistry:
         qubits = np.broadcast_to(np.asarray(qubits, dtype=np.intp), pairs.shape)
         mixture = channel.pauli_mixture()
         # past the last cumulative weight (rounding) draws the identity
-        bits = [next((x, z) for op, x, z in _PAULI_BITS if op is m) for _, m in mixture]
-        table = np.array(bits + [(0, 0)], dtype=bool)
+        paulis = np.array([next(i for op, i in _PAULI_INDEX if op is m) for _, m in mixture] + [0])
         cumulative = np.cumsum([w for w, _ in mixture])
-        branch = (rng.random(pairs.size)[:, None] >= cumulative).sum(axis=1)
-        hit = np.flatnonzero(table[branch].any(axis=1))
-        self.apply_pauli(pairs[hit], qubits[hit], table[branch[hit], 0], table[branch[hit], 1])
+        xz = paulis[np.searchsorted(cumulative, rng.random(pairs.size), side="right")]
+        hit = np.flatnonzero(xz)
+        self.apply_pauli(pairs[hit], qubits[hit], xz[hit] >> 1, xz[hit] & 1)
 
     def measure(self, pairs, qubits, bases, rng) -> np.ndarray:
         """Projective measurement of each listed qubit in its basis, "Z"
@@ -511,18 +523,10 @@ class QuantumRegistry:
         draws = rng.random(pairs.size)
         outcomes = np.empty(pairs.size, dtype=np.int8)
         for half, where, group in self._groups(pairs, qubits):
-            basis = (bases[where] == "X").astype(np.int8)
-            # an eigenstate of the basis has p0 of 0 or 1, anything else 1/2
-            known = self._basis[group, half] == basis
-            p0 = np.where(known, 1 - self._value[group, half], 0.5)
-            seen = (draws[where] >= p0).astype(np.int8)
-            # a frame half collapses its partner onto the correlated eigenstate
-            fresh = self._basis[group, half] < 0
-            pair, b = group[fresh], basis[fresh]
-            self._basis[pair, 1 - half] = b
-            self._value[pair, 1 - half] = seen[fresh] ^ 1 ^ self._frame[pair, b]
-            self._basis[group, half] = basis
-            self._value[group, half] = seen
+            basis = (bases[where] == "X").view(np.int8)
+            code = self._code[group]
+            seen = (draws[where] >= _P0[half, basis, code]).view(np.int8)
+            self._code[group] = _AFTER[half, basis, seen, code]
             outcomes[where] = seen
         return outcomes
 
@@ -537,21 +541,13 @@ class QuantumRegistry:
         """Bell-basis measurement of each listed pair's two halves;
         returns BellOutcome values and leaves each pair in that Bell state.
 
-        One uniform per pair meets the cumulative Born probabilities in
-        BellOutcome order. A frame fixes both frame bits; a product fixes
-        the Z parity (x) if both halves are in Z, the X parity (z) if both
-        are in X, and leaves the rest uniform.
+        One uniform per pair meets the cumulative Born probabilities of
+        the pair's code in BellOutcome order: a frame fixes the outcome, a
+        product in a shared basis fixes one frame bit, and the rest is
+        uniform.
         """
         pairs = self._pairs(pairs)
-        basis, value = self._basis[pairs], self._value[pairs]
-        product = basis[:, 0] >= 0
-        shared = np.where(basis[:, 0] == basis[:, 1], basis[:, 0], -1)
-        fixed = ~product[:, None] | (shared[:, None] == [0, 1])
-        bits = np.where(product[:, None], (1 ^ value[:, :1] ^ value[:, 1:]), self._frame[pairs])
-        marginal = np.where(fixed[..., None], np.eye(2)[bits], 0.5)  # (pair, frame bit, value)
-        probs = marginal[:, 0, _OUTCOME_FRAME[:, 0]] * marginal[:, 1, _OUTCOME_FRAME[:, 1]]
-        draws = rng.random(pairs.size)
-        outcomes = (draws[:, None] >= np.cumsum(probs, axis=1)[:, :3]).sum(axis=1)
-        self._frame[pairs] = _OUTCOME_FRAME[outcomes]
-        self._basis[pairs] = -1
+        cumulative = _BELL_CUMULATIVE.take(self._code[pairs], axis=1)
+        outcomes = (rng.random(pairs.size) >= cumulative).sum(axis=0)
+        self._code[pairs] = 3 - outcomes  # BellOutcome k is frame 3 - k
         return outcomes

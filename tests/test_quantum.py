@@ -1,11 +1,13 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthosim import quantum
 from orthosim.quantum import (
     BellOutcome,
     DensityMatrix,
@@ -21,7 +23,6 @@ from orthosim.quantum import (
     QuantumValidationError,
     ResourceLimitError,
     StateVector,
-    apply_channel,
     apply_single_qubit_gate,
     basis_state,
     bell_measure,
@@ -35,18 +36,9 @@ from orthosim.quantum import (
     von_neumann_entropy,
 )
 from conftest import assert_frequency
+from oracle import ReferenceRegistry, apply_channel, kron_op
 
 S2 = 1.0 / math.sqrt(2)
-
-
-def kron_op(op, qubit, n):
-    """Independent little-endian operator lift: qubit 0 is the low bit."""
-    mats = [PAULI_I] * n
-    mats[qubit] = op
-    out = np.eye(1, dtype=complex)
-    for m in mats:  # highest qubit becomes the leftmost kron factor
-        out = np.kron(m, out)
-    return out
 
 
 def _permute_qubits_raw(mat, perm):
@@ -491,6 +483,22 @@ def test_registry_unknown_particle():
         reg.attach_probe([0], 2, ProbeAttackSpec(0.1), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "x, z, named", [(2, 0, "x in [2]"), (0, 3, "z in [3]"), (-1, 0, "x in [-1]"), (1, -2, "z in [-2]")]
+)
+def test_registry_rejects_exponents_other_than_0_and_1(x, z, named):
+    # on a frame pair and on a product pair; a rejected call changes nothing
+    rng = np.random.default_rng(37)
+    reg = QuantumRegistry()
+    frame, product = reg.allocate(2)
+    before = reg.measure([product], 0, "Z", rng)
+    for pair in (frame, product):
+        with pytest.raises(QuantumValidationError, match=re.escape(named)):
+            reg.apply_pauli([pair], 1, x=x, z=z)
+    assert reg.bell_measure([frame], rng).tolist() == [BellOutcome.PSI_MINUS]
+    assert (reg.measure([product], 0, "Z", rng) == before).all()
+
+
 def test_registry_dense_codes_match_exact_encoding():
     # dense codes on either half give Bell states, whose Bell measurement
     # is certain on the engine and on the exact path alike
@@ -612,3 +620,135 @@ def test_engine_bell_probabilities_match_exact_oracle(theta, channel):
         np.testing.assert_allclose(
             engine, _exact_bell_probabilities(code, theta, channel), rtol=0.0, atol=1e-12
         )
+
+
+# ---------------------------------------------------------------- packed codes
+
+
+class _FixedDraws:
+    """Stands in for a Generator: ``random(size)`` returns these draws."""
+
+    def __init__(self, *draws):
+        self.draws = np.array(draws, dtype=float)
+
+    def random(self, size):
+        assert size == self.draws.size
+        return self.draws.copy()
+
+
+def _reference_codes(ref):
+    """Pair codes of a reference registry's pairs: 2x + z for a frame,
+    4 + 4 s0 + s1 with s = 2 basis + value per half for a product."""
+    frame = 2 * ref._frame[:, 0] + ref._frame[:, 1]
+    s = 2 * ref._basis.astype(int) + ref._value
+    return np.where(ref._basis[:, 0] < 0, frame, 4 + 4 * s[:, 0] + s[:, 1])
+
+
+def _reference_pair(code):
+    """A one-pair reference registry in the state of ``code``."""
+    ref = ReferenceRegistry()
+    ref.allocate()
+    if code < 4:
+        ref._frame[0] = divmod(code, 2)
+    else:
+        s = np.array(divmod(code - 4, 4))
+        ref._basis[0], ref._value[0] = s >> 1, s & 1
+    return ref
+
+
+# on and one ulp below each multiple of 1/4 in [0, 1), where every p0 and
+# every cumulative Born probability of the pair engine lies
+_EDGE_DRAWS = sorted({float(v) for k in range(5) for v in (k / 4, np.nextafter(k / 4, 0))} - {1.0})
+
+
+def test_pair_tables_match_reference_rules():
+    # every table entry a draw can reach, for all 20 codes, against the
+    # rules of the three-array engine
+    assert set(np.unique(quantum._P0)) <= {0.0, 0.5, 1.0}
+    assert (quantum._BELL_CUMULATIVE * 4 % 1 == 0).all()
+    for code in range(20):
+        assert _reference_codes(_reference_pair(code)).tolist() == [code]
+        for half, x, z in itertools.product((0, 1), repeat=3):
+            ref = _reference_pair(code)
+            ref.apply_pauli([0], half, x, z)
+            assert quantum._PAULI[half, 2 * x + z, code] == _reference_codes(ref)[0]
+        for half, basis, draw in itertools.product((0, 1), (0, 1), _EDGE_DRAWS):
+            ref = _reference_pair(code)
+            seen = int(ref.measure([0], half, "ZX"[basis], _FixedDraws(draw))[0])
+            assert seen == int(draw >= quantum._P0[half, basis, code])
+            assert quantum._AFTER[half, basis, seen, code] == _reference_codes(ref)[0]
+        for draw in _EDGE_DRAWS:
+            ref = _reference_pair(code)
+            outcome = int(ref.bell_measure([0], _FixedDraws(draw))[0])
+            assert outcome == int((draw >= quantum._BELL_CUMULATIVE[:, code]).sum())
+            assert _reference_codes(ref)[0] == 3 - outcome  # the frame code stored
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_registry_matches_reference_in_lockstep(seed):
+    # one random script drives both engines from equal seeds: outcomes and
+    # pair states agree after every call, and the generators end equal
+    script = np.random.default_rng(seed)
+    engines = (QuantumRegistry(), ReferenceRegistry())
+    rngs = [np.random.default_rng(500 + seed) for _ in engines]
+    channels = [NoiseChannel(k, p) for k in ("depolarizing", "bit-flip") for p in (0.0, 0.3, 1.0)]
+    for reg in engines:
+        reg.allocate(8)
+    for _ in range(300):
+        n = engines[0].num_pairs
+        # particles in random order, often both halves of a pair
+        particles = script.permutation(2 * n)[: script.integers(1, 2 * n + 1)]
+        pairs, halves = particles // 2, particles % 2
+        op = script.integers(6)
+        if op == 0:
+            name, args = "allocate", (int(script.integers(1, 4)),)
+        elif op == 1:
+            name, args = "apply_pauli", (pairs, halves, *script.integers(0, 2, size=(2, pairs.size)))
+        elif op == 2:
+            name, args = "apply_noise", (pairs, halves, channels[script.integers(len(channels))])
+        elif op == 3:
+            spec = ProbeAttackSpec(script.uniform(0.0, math.pi / 2))
+            name, args = "attach_probe", (pairs, halves, spec)
+        elif op == 4:
+            bases = np.array(["Z", "X"])[script.integers(0, 2, size=pairs.size)]
+            name, args = "measure", (pairs, halves, bases)
+        else:
+            name, args = "bell_measure", (script.permutation(n)[: script.integers(1, n + 1)],)
+        draws = name not in ("allocate", "apply_pauli")  # these take no generator
+        got, want = (getattr(reg, name)(*args, *[rng][:draws]) for reg, rng in zip(engines, rngs))
+        assert np.array_equal(got, want) if want is not None else got is None
+        assert engines[0]._code.tolist() == _reference_codes(engines[1]).tolist()
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+_SINGLET_OUTCOME = {
+    "I": BellOutcome.PSI_MINUS, "X": BellOutcome.PHI_MINUS,
+    "Y": BellOutcome.PHI_PLUS, "Z": BellOutcome.PSI_PLUS,
+}
+
+
+@pytest.mark.parametrize("engine", [QuantumRegistry, ReferenceRegistry])
+@pytest.mark.parametrize(
+    "channel, paulis",
+    [
+        (NoiseChannel("depolarizing", 0.0), "I"),
+        (NoiseChannel("depolarizing", 0.01), "IXXYYZZI"),
+        (NoiseChannel("depolarizing", 1.0), "IXXYYZZ"),
+        (NoiseChannel("bit-flip", 0.0), "I"),
+        (NoiseChannel("bit-flip", 1.0), "XX"),
+    ],
+    ids=["dep-0", "dep-0.01", "dep-1", "flip-0", "flip-1"],
+)
+def test_noise_branch_edges(engine, channel, paulis):
+    # draws on each cumulative weight, one ulp below it, and 1 - 2**-53,
+    # in [0, 1) and ascending: a draw on a weight takes the next branch,
+    # and one past the last weight (at depolarizing p = 0.01 the weights
+    # sum to 1 - 2**-53) takes the identity
+    cumulative = np.cumsum([w for w, _ in channel.pauli_mixture()])
+    edges = {*cumulative, *np.nextafter(cumulative, 0), 1 - 2**-53}
+    draws = sorted(float(d) for d in edges if 0 <= d < 1)
+    reg = engine()
+    pairs = reg.allocate(len(draws))
+    reg.apply_noise(pairs, 0, channel, _FixedDraws(*draws))
+    outcomes = reg.bell_measure(pairs, np.random.default_rng(0)).tolist()
+    assert outcomes == [_SINGLET_OUTCOME[p] for p in paulis]
