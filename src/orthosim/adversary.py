@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -41,6 +42,7 @@ __all__ = [
 
 _POP_ENUMERATION_LIMIT = 64
 _POP_TRACE_TOL = 1e-9
+_POP_CACHE_SIZE = 1024  # exact values kept per process, one per (theta, N)
 
 
 class AdversaryError(ValueError):
@@ -477,7 +479,9 @@ def pop_eve_information(theta: float, num_pairs: int) -> float:
     messages is tau^(x)2N, of entropy 2N h((1 + cos theta)/2).  The
     entropies of the N + 1 states rho_k come from their spin-sector
     spectra (see _pop_state_entropies), so the cost grows like N^5 with
-    no 4^N matrix; N up to 64 pairs takes well under a second.
+    no 4^N matrix; N up to 64 pairs takes well under a second.  Each
+    value is computed once per (theta, N) per process and then reused;
+    the arguments are checked on every call.
     """
     _check_theta(theta)
     if num_pairs < 1:
@@ -487,7 +491,11 @@ def pop_eve_information(theta: float, num_pairs: int) -> float:
             f"exact PoP information supports num_pairs <= {_POP_ENUMERATION_LIMIT}, "
             f"got {num_pairs}"
         )
-    n = num_pairs
+    return _pop_information(float(theta), operator.index(num_pairs))
+
+
+@functools.lru_cache(maxsize=_POP_CACHE_SIZE)
+def _pop_information(theta: float, n: int) -> float:
     entropy, trace = _pop_state_entropies(theta, n)
     if np.abs(trace - 1.0).max() > _POP_TRACE_TOL:  # every rho_k has unit trace
         raise FloatingPointError(

@@ -14,6 +14,7 @@ noise), so a (config, seed) pair fixes the result bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import asdict, dataclass
@@ -172,6 +173,10 @@ def _rng_streams(config: ProtocolConfig, seed: int):
     return main, eve, noise
 
 
+# one frozen spec per probe angle, so its unitarity check runs once per angle
+_probe_spec = functools.lru_cache(maxsize=1024, typed=True)(ProbeAttackSpec)
+
+
 def _build_hook(config: ProtocolConfig, rng_eve: np.random.Generator) -> Optional[EveHook]:
     spec = config.adversary
     if spec is None:
@@ -180,7 +185,7 @@ def _build_hook(config: ProtocolConfig, rng_eve: np.random.Generator) -> Optiona
         return GltInterceptResend(rng_eve, spec.attack_fraction)
     if spec.kind == "quantum-intercept-resend":
         return QuantumInterceptResend(spec.basis, rng_eve, spec.attack_fraction)
-    return ProbeAttack(ProbeAttackSpec(spec.theta), rng_eve)
+    return ProbeAttack(_probe_spec(spec.theta), rng_eve)
 
 
 def _build_channel(config: ProtocolConfig, hook, rng_noise) -> Channel:
@@ -439,14 +444,12 @@ def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunRes
 # ---------------------------------------------------------------- PoP QSDC
 
 
-def _majority(bits: Sequence[int]) -> int:
-    return int(sum(bits) * 2 > len(bits))
-
-
 def _bell_check(registry, pairs, compared, rng) -> tuple[np.ndarray, int]:
     """Bell-measure pairs that should still be singlets; returns the
     detection event of each compared pair and their count of wrong bits."""
-    bits = _BELL_BITS[registry.bell_measure(pairs, rng)][np.isin(pairs, compared)]
+    is_compared = np.zeros(registry.num_pairs, dtype=bool)
+    is_compared[compared] = True
+    bits = _BELL_BITS[registry.bell_measure(pairs, rng)][is_compared[pairs]]
     return bits.any(axis=1), int(bits.sum())
 
 
@@ -553,11 +556,9 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
         "alice",
         f"message reveal n={n_pairs} r={code_len}",
     )
-    decoded_stream = _BELL_BITS[registry.bell_measure(message_pairs, rng)].ravel().tolist()
-    bob_message = tuple(
-        _majority(decoded_stream[i * code_len : (i + 1) * code_len])
-        for i in range(len(message))
-    )
+    decoded = _BELL_BITS[registry.bell_measure(message_pairs, rng)].ravel()
+    votes = decoded[: code_len * len(message)].reshape(-1, code_len).sum(1)
+    bob_message = tuple((votes * 2 > code_len).astype(int).tolist())
     guess_fields = {}
     if hook is not None and config.adversary.guess_pairing:
         # message pair p: half 1 in block 1, half 0 at its retained index

@@ -468,18 +468,29 @@ class QuantumRegistry:
             raise QuantumValidationError("a particle appears twice in one call")
         return pairs
 
-    def _groups(self, pairs, qubits) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    def _groups(self, pairs, qubits) -> list[tuple[int, np.ndarray | slice, np.ndarray]]:
         """Split a call's particles by half, half 0 first: (half,
-        positions in the call, pair indices), all validated up front."""
+        positions in the call, pair indices), all validated in one pass.
+        A scalar ``qubits`` makes one group covering the whole call."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
-        qubits = np.broadcast_to(np.asarray(qubits, dtype=np.intp), pairs.shape)
-        if pairs.size and (qubits.min() < 0 or qubits.max() > 1):
+        qubits = np.asarray(qubits, dtype=np.intp)
+        if qubits.ndim:
+            qubits = np.broadcast_to(qubits, pairs.shape)
+        if not pairs.size:
+            return []
+        if qubits.min() < 0 or qubits.max() > 1:
             raise QuantumValidationError("a pair holds qubits 0 and 1 only")
+        if pairs.min() < 0 or pairs.max() >= self.num_pairs:
+            raise QuantumValidationError(f"pair index outside [0, {self.num_pairs})")
+        if np.bincount(2 * pairs + qubits).max() > 1:
+            raise QuantumValidationError("a particle appears twice in one call")
+        if not qubits.ndim:
+            return [(int(qubits), slice(None), pairs)]
         groups = []
         for half in (0, 1):
             where = np.flatnonzero(qubits == half)
             if where.size:
-                groups.append((half, where, self._pairs(pairs[where])))
+                groups.append((half, where, pairs[where]))
         return groups
 
     def apply_pauli(self, pairs, qubits, x, z) -> None:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import hypergeom
 
+from orthosim import adversary
 from orthosim.adversary import (
     _POP_ENUMERATION_LIMIT,
     AdversaryError,
@@ -12,6 +13,7 @@ from orthosim.adversary import (
     GltInterceptResend,
     ProbeAttack,
     QuantumInterceptResend,
+    _pop_information,
     _pop_log_weights,
     _pop_state_entropies,
     escape_probability,
@@ -25,7 +27,7 @@ from orthosim.adversary import (
     stream_eve_information,
 )
 from orthosim.gpt import FiducialSpec, GbitBlock, sample_outcome
-from orthosim.metrics import JointCounts, mutual_information
+from orthosim.metrics import JointCounts, binary_entropy, mutual_information
 from orthosim.quantum import (
     BellOutcome,
     DensityMatrix,
@@ -688,6 +690,40 @@ def test_pop_information_at_large_blocks(theta):
         np.testing.assert_allclose(np.exp(_pop_log_weights(n)) @ strings, 1.0, rtol=0, atol=1e-12)
         traces = _pop_state_entropies(theta, n)[1]
         np.testing.assert_allclose(traces, 1.0, rtol=0, atol=1e-12)
+
+
+def test_pop_information_cache_matches_uncached_computation():
+    _pop_information.cache_clear()
+    for theta, n in ((0.3, 2), (math.pi / 8, 5), (math.pi / 2, 17)):
+        first = pop_eve_information(theta, n)
+        assert pop_eve_information(theta, n) == first
+        entropy = _pop_state_entropies(theta, n)[0]
+        mean = math.fsum(math.comb(n, k) / 2**n * entropy[k] for k in range(n + 1))
+        assert first == (2 * n * binary_entropy(math.cos(theta / 2.0) ** 2) - mean) / n
+    info = _pop_information.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+
+
+def test_pop_information_lost_trace_raises_on_every_call(monkeypatch):
+    # a failed trace check is not cached: the next call checks again
+    def lossy(theta, n):
+        return np.zeros(n + 1), np.full(n + 1, 1.0 + 1e-6)
+
+    monkeypatch.setattr(adversary, "_pop_state_entropies", lossy)
+    _pop_information.cache_clear()
+    for _ in range(2):
+        with pytest.raises(FloatingPointError, match="lost trace"):
+            pop_eve_information(0.3, 3)
+    monkeypatch.undo()
+    assert pop_eve_information(0.3, 3) > 0.0
+
+
+def test_pop_information_block_size_must_be_an_integer_even_when_cached():
+    cached = pop_eve_information(0.3, 2)
+    with pytest.raises(TypeError):
+        pop_eve_information(0.3, 2.0)
+    assert pop_eve_information(0.3, np.int64(2)) == cached
+    assert pop_eve_information(0.3, True) == pop_eve_information(0.3, 1)
 
 
 # ---------------------------------------------------------------- pairing guess

@@ -188,6 +188,28 @@ def test_single_trial_config_runs_the_protocol_once(tmp_path, monkeypatch):
     assert float(rows[0]["error_rate"]) == expected.error_rate
 
 
+def test_probed_pop_config_computes_exact_information_once(tmp_path, monkeypatch):
+    import orthosim.adversary as adversary
+
+    calls = []
+    entropies = adversary._pop_state_entropies
+
+    def counting_entropies(theta, num_pairs):
+        calls.append((theta, num_pairs))
+        return entropies(theta, num_pairs)
+
+    monkeypatch.setattr(adversary, "_pop_state_entropies", counting_entropies)
+    adversary._pop_information.cache_clear()
+    config_path = tmp_path / "pop_probe.ini"
+    config_path.write_text(
+        (CONFIG_DIR / "pop_qsdc_noisy.ini").read_text()
+        + "\n[adversary]\nkind = probe\ntheta = 0.3\n"
+    )
+    assert main(["run", "--config", str(config_path), "--trials", "3",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(0.3, 7)]
+
+
 def test_config_run_is_byte_deterministic(tmp_path):
     argv = ["run", "--config", str(CONFIG_DIR / "stream_qkd_probe.ini"),
             "--trials", "2"]

@@ -481,6 +481,14 @@ def test_registry_unknown_particle():
         reg.measure([0], 0, "Y", np.random.default_rng(0))
     with pytest.raises(QuantumValidationError):
         reg.attach_probe([0], 2, ProbeAttackSpec(0.1), np.random.default_rng(0))
+    for qubits in (2, [2]):
+        with pytest.raises(QuantumValidationError, match="qubits 0 and 1 only"):
+            reg.apply_pauli([0], qubits, x=1, z=0)
+    with pytest.raises(QuantumValidationError, match="appears twice"):
+        reg.apply_pauli([0, 0, 0], [0, 1, 0], x=1, z=0)  # (0, half 0) twice, mixed halves
+    reg.apply_pauli([0, 0], [0, 1], x=1, z=0)  # both halves of one pair: X X |singlet>
+    # no rejected call touched the pair, and X on both halves is a phase
+    assert reg.bell_measure([0], np.random.default_rng(0)).tolist() == [BellOutcome.PSI_MINUS]
 
 
 @pytest.mark.parametrize(
