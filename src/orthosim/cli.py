@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -328,9 +329,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if trials == 1:  # the table's one run is also the full run document
         result = results[0]
         doc_path = Path(args.out) / f"{stem}.result.json"
-        doc_path.write_text(
-            json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        with open(doc_path, "w", encoding="utf-8") as handle:
+            result.write_json(handle)
     print(f"wrote {Path(args.out) / (stem + '.csv')}")
     return 0
 
@@ -406,6 +406,7 @@ def _cmd_list_builtins(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)  # parsing leaves the parser unchanged; build it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthosim",

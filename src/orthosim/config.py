@@ -184,7 +184,7 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         if self.message_bits is not None:
-            object.__setattr__(self, "message_bits", tuple(int(b) for b in self.message_bits))
+            object.__setattr__(self, "message_bits", tuple(map(int, self.message_bits)))
 
     # -------------------------------------------------------- validation
 
@@ -257,7 +257,7 @@ class ProtocolConfig:
         if self.message_bits is None:
             out.append("pop-qsdc needs message_bits")
             return out
-        if any(b not in (0, 1) for b in self.message_bits):
+        if not {0, 1}.issuperset(self.message_bits):
             out.append("message_bits must be 0/1")
         if len(self.message_bits) < 1:
             out.append("message must hold at least one bit")
@@ -311,7 +311,7 @@ def _flat_items(config: ProtocolConfig) -> list[tuple[str, str]]:
             for sub in fields(value):
                 items.append((f"noise.{sub.name}", str(getattr(value, sub.name))))
         elif isinstance(value, tuple):
-            items.append((f.name, "".join(str(b) for b in value)))
+            items.append((f.name, "".join(map(str, value))))
         else:
             items.append((f.name, str(value)))
     return items
@@ -333,7 +333,7 @@ def dump_config(config: ProtocolConfig, path: Optional[str] = None) -> str:
     if config.block_size is not None:
         parser["protocol"]["block_size"] = str(config.block_size)
     if config.message_bits is not None:
-        parser["protocol"]["message"] = "".join(str(b) for b in config.message_bits)
+        parser["protocol"]["message"] = "".join(map(str, config.message_bits))
     if config.derived_from is not None:
         parser["protocol"]["derived_from"] = config.derived_from
     if config.fiducial is not None or config.num_gbits is not None:
@@ -366,9 +366,9 @@ def dump_config(config: ProtocolConfig, path: Optional[str] = None) -> str:
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
-    if any(c not in "01" for c in text):
+    if text.strip("01"):  # empty exactly when every character is 0 or 1
         raise ConfigValidationError([f"message must be a 0/1 string, got {text!r}"])
-    return tuple(int(c) for c in text)
+    return tuple(map(int, text))
 
 
 def load_config(source: str, from_path: bool = True) -> ProtocolConfig:

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .metrics import (
     check_qsdc_condition,
 )
 from .quantum import BellOutcome, ProbeAttackSpec, QuantumRegistry
-from .transport import Channel, EveHook, ParticleBlock, Transcript
+from .transport import Channel, EveHook, ParticleBlock, Transcript, _indented_json
 
 __all__ = [
     "EscapeEstimate",
@@ -128,8 +129,14 @@ class RunResult:
         if self.outcome == "completed" and (first_bad or second_bad):
             raise ProtocolError("completed despite an exceeded threshold")
 
-    def to_json_dict(self) -> dict:
-        doc = {
+    def _json_fields(self) -> dict:
+        """Every document field but the transcript: scalars, flat lists
+        and dicts of those."""
+        report = None
+        if self.attack_report is not None:
+            report = dict(vars(self.attack_report))  # flat fields: asdict would deepcopy the events
+            report["detection_events"] = list(map(bool, report["detection_events"]))
+        return {
             "schema": RESULT_SCHEMA,
             "kind": self.kind,
             "security_class": self.security_class,
@@ -139,16 +146,27 @@ class RunResult:
             "threshold": self.threshold,
             "alice_payload": list(self.alice_payload),
             "bob_payload": list(self.bob_payload),
-            "detection_events": [bool(e) for e in self.detection_events],
+            "detection_events": list(map(bool, self.detection_events)),
             "verdict": asdict(self.verdict) if self.verdict else None,
-            "attack_report": None,
-            "transcript": self.transcript.to_dicts(),
+            "attack_report": report,
         }
-        if self.attack_report is not None:
-            raw = dict(vars(self.attack_report))  # flat fields: asdict would deepcopy the events
-            raw["detection_events"] = [bool(e) for e in raw["detection_events"]]
-            doc["attack_report"] = raw
-        return doc
+
+    def to_json_dict(self) -> dict:
+        return {**self._json_fields(), "transcript": self.transcript.to_dicts()}
+
+    def write_json(self, handle: TextIO) -> None:
+        """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``
+        and a newline, streaming the transcript from its runs."""
+        fields = self._json_fields()
+        separator = "{"
+        for key in sorted([*fields, "transcript"]):
+            handle.write(f"{separator}\n  {json.dumps(key)}: ")
+            if key == "transcript":
+                self.transcript.write_json(handle, level=1)
+            else:
+                handle.write(_indented_json(fields[key], level=1))
+            separator = ","
+        handle.write("\n}\n")
 
 
 # ---------------------------------------------------------------- shared plumbing
@@ -501,7 +519,8 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
     # (c) first check: reveal check-pair positions, Bell-check a fraction
     num_compared = round(config.check_fraction * n_pairs)
     compared = check_pairs[rng.choice(n_pairs, size=num_compared, replace=False)]
-    reveal = dict(zip(check_pairs.tolist(), map(tuple, position[check_pairs].tolist())))
+    # each reveal travels as the index arrays it is read from: pair, then positions
+    reveal = (check_pairs, position[check_pairs])
     channel.broadcast(reveal, "alice", f"check-pair reveal n={n_pairs}")
     events_first, wrong_first = _bell_check(registry, check_pairs, compared, rng)
     channel.broadcast(np.sort(compared).tolist(), "bob", f"compared checks n={num_compared}")
@@ -522,7 +541,9 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
     coded = np.zeros(2 * n_pairs, dtype=np.int64)
     coded[: code_len * len(message)] = np.repeat(message, code_len)
     message_pairs = np.sort(retained[rng.choice(retained.size, size=n_pairs, replace=False)])
-    second_pairs = np.setdiff1d(retained, message_pairs, assume_unique=True)
+    is_second = ~is_check
+    is_second[message_pairs] = False
+    second_pairs = np.flatnonzero(is_second)
     message_index = np.searchsorted(retained, message_pairs)  # position in block 2
     _dense_encode(registry, message_pairs, coded.reshape(n_pairs, 2))
     block2 = ParticleBlock(registry, retained, 0)
@@ -531,9 +552,7 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
 
     # (e) second check on the untouched pairs, then message reveal
     compared2 = second_pairs[rng.choice(second_pairs.size, size=num_compared, replace=False)]
-    reveal2 = dict(zip(
-        second_pairs.tolist(), zip(position[second_pairs, 1].tolist(), block2_index.tolist())
-    ))
+    reveal2 = (second_pairs, position[second_pairs, 1], block2_index)
     channel.broadcast(reveal2, "alice", f"second-check reveal n={second_pairs.size}")
     events_second, wrong_second = _bell_check(registry, second_pairs, compared2, rng)
     error_second = wrong_second / (2 * num_compared)
@@ -543,14 +562,7 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
             config, channel, hook, True, error_first, (), (), events, eve_info, error_second
         )
 
-    reveal3 = dict(zip(
-        message_pairs.tolist(),
-        zip(
-            position[message_pairs, 1].tolist(),
-            message_index.tolist(),
-            range(n_pairs),
-        ),
-    ))
+    reveal3 = (message_pairs, position[message_pairs, 1], message_index, np.arange(n_pairs))
     channel.broadcast(
         {"pairs": reveal3, "repetition": code_len, "length": len(message)},
         "alice",

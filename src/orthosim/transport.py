@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -141,6 +141,22 @@ class EveHook:
 # ---------------------------------------------------------------- transcript
 
 
+def _indented_json(value, level: int) -> str:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` places at
+    nesting ``level``, for a scalar, a flat list, or a dict of scalars and
+    flat lists; each flat list or dict of scalars is one C-encoder call,
+    with the indent folded into the item separator."""
+    if not value or not isinstance(value, (list, dict)):
+        return json.dumps(value)
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if isinstance(value, dict) and any(isinstance(v, (list, dict)) for v in value.values()):
+        items = (f"{json.dumps(k)}: {_indented_json(value[k], level + 1)}" for k in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+    return text[0] + inner + text[1:-1] + outer + text[-1]
+
+
 @dataclass(frozen=True)
 class TranscriptRecord:
     round_index: int
@@ -201,6 +217,32 @@ class Transcript:
             out += [{"round_index": first.round_index + i, **tail} for i in range(count)]
         return out
 
+    def write_json(self, handle: TextIO, level: int = 0) -> None:
+        """Write the text ``json.dumps(self.to_dicts(), indent=2,
+        sort_keys=True)`` places at nesting ``level``, straight from the runs.
+
+        Each run's record is encoded once with the C encoder; its rounds
+        are spliced in at the encoded ``"round_index": `` key, which no
+        escaped string value can contain, and written in chunks.
+        """
+        if not self.runs:
+            handle.write("[]")
+            return
+        outer = "\n" + "  " * (level + 1)
+        separator = "["
+        for first, count in self.runs:
+            entry = dict(zip(_FIELDS, (0, *_template(first))))
+            before, key, after = _indented_json(entry, level + 1).partition('"round_index": ')
+            head = outer + before + key
+            tail = after[1:]  # after[0] is the placeholder round 0
+            glue = tail + "," + head
+            end = first.round_index + count
+            for start in range(first.round_index, end, _CHUNK):
+                rounds = map(str, range(start, min(start + _CHUNK, end)))
+                handle.write(separator + head + glue.join(rounds) + tail)
+                separator = ","
+        handle.write(outer[:-2] + "]")
+
     def to_jsonl(self) -> str:
         return "".join(json.dumps(d) + "\n" for d in self.to_dicts())
 
@@ -215,6 +257,8 @@ class Transcript:
 
 
 _FIELDS = ("round_index", "channel", "sender", "payload", "tampered")
+# records per write when a run is streamed as JSON
+_CHUNK = 4096
 
 
 def _template(record: TranscriptRecord) -> tuple:

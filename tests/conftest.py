@@ -1,7 +1,13 @@
 import math
+import os
 
-import numpy as np
-import pytest
+# one BLAS thread: the exact layer's small eigensolves run several times
+# slower at two threads on a 2-CPU host; set before numpy is imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def binomial_margin(p: float, trials: int, nsigma: float) -> float:

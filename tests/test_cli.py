@@ -3,14 +3,15 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from orthosim.adversary import stream_eve_information
 from orthosim.cli import BUILTINS, COLUMNS, main
-from orthosim.config import dump_config, load_config
-from orthosim.protocols import RESULT_SCHEMA
+from orthosim.config import AdversarySpec, NoiseSpec, ProtocolConfig, dump_config, load_config
+from orthosim.protocols import RESULT_SCHEMA, run
 
 from conftest import assert_frequency
 from test_adversary import _exhaustive_pop_information, _multiset_pop_information
@@ -282,6 +283,46 @@ def test_streamed_run_document_lists_every_particle(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "transcript_records = 102" in out
     assert "tampered_records = 100" in out
+
+
+def test_large_probed_stream_document_is_written_in_small_memory(tmp_path, capsys):
+    # the writer expands the transcript runs chunk by chunk: json.dumps of
+    # the document dict peaked at 288 MB here, for a 36.9 MB file
+    config = ProtocolConfig(
+        kind="stream-qkd", seed=2, block_size=100_000, threshold=0.2,
+        adversary=AdversarySpec("probe", theta=0.4), noise=NoiseSpec("depolarizing", 0.01),
+    )
+    result = run(config)
+    path = tmp_path / "large.result.json"
+    tracemalloc.start()
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            result.write_json(handle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+    assert main(["metrics", "--result", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "transcript_records = 200002" in out
+    assert "tampered_records = 200000" in out
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    import orthosim.cli as cli
+
+    assert main(["list-builtins"]) == 0
+    before = cli._build_parser.cache_info()
+    assert main(["validate", "--config", str(CONFIG_DIR / "glt2s_baseline.ini")]) == 0
+    assert main(["list-builtins"]) == 0
+    after = cli._build_parser.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+    # a reused parser keeps no state from one parse to the next
+    listed = capsys.readouterr().out.split("ok\n")
+    assert listed[0] == listed[1]
+    with pytest.raises(SystemExit):
+        main(["run", "--config", "a.ini", "--builtin", "theta-sweep"])
+    assert main(["run", "--builtin", "theta-sweep", "--out", str(tmp_path)]) == 0
 
 
 def test_metrics_threshold_override(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Config validation, persistence, digests, and code arithmetic."""
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -302,8 +303,15 @@ def test_load_rejects_bad_sources(tmp_path):
         load_config("[protocol]\nschema = orthosim.config/v9\nkind = glt2s\n", from_path=False)
     with pytest.raises(ConfigValidationError, match="malformed"):
         load_config("[protocol]\nkind = stream-qkd\nseed = twelve\n", from_path=False)
-    with pytest.raises(ConfigValidationError, match="0/1"):
-        load_config("[protocol]\nkind = pop-qsdc\nmessage = 10x\n", from_path=False)
+    for message in ("10x", "x10", "1x0", "1 0", "12"):
+        with pytest.raises(ConfigValidationError) as err:
+            load_config(f"[protocol]\nkind = pop-qsdc\nmessage = {message}\n", from_path=False)
+        assert err.value.diagnostics == [
+            f"malformed config value: message must be a 0/1 string, got {message!r}"
+        ]
+    loaded = load_config("[protocol]\nkind = pop-qsdc\nmessage = 0110\n", from_path=False)
+    assert loaded.message_bits == (0, 1, 1, 0)
+    assert all(type(b) is int for b in loaded.message_bits)
 
 
 def test_loaded_config_still_validates():
@@ -325,6 +333,33 @@ def test_config_digest_stable_and_content_sensitive():
     assert config_digest(with_adv) != config_digest(
         pop_config(seed=5, adversary=AdversarySpec("probe", theta=0.2))
     )
+
+
+# digests of the shipped configs, recorded before the bit-string parsing
+# moved to C-level calls; config_digest must not move
+SHIPPED_DIGESTS = {
+    "glt2s_baseline.ini": "f6b2230bf78bc2a80e794b0ecaf2ea50d7d723bfba74c225a8250202badf3997",
+    "pop_qsdc_noisy.ini": "c4b8914922e73864d446b6477e6bb436ba1d18c09905e552dbaafe65d54bb28b",
+    "stream_qkd_probe.ini": "984cc5d229575f00720e0aa7b21e002799dcde9f66cc7c120064d8ab1b5c29ed",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
+def test_shipped_config_digests_are_stable(name):
+    path = Path(__file__).resolve().parent.parent / "configs" / name
+    assert config_digest(load_config(str(path))) == SHIPPED_DIGESTS[name]
+
+
+def test_long_message_digest_is_stable_through_persistence():
+    # 285 bits, as many as N = 1000 carries at e0 = 0.05
+    config = ProtocolConfig(
+        kind="pop-qsdc", seed=4, block_size=1000, threshold=0.05,
+        message_bits=tuple((i * i + 1) % 3 % 2 for i in range(285)),
+        noise=NoiseSpec("depolarizing", 0.01),
+    )
+    expected = "d5dbf81f7ab357482f5d7457fe7adac14d969514226b9419690f824303d5a78c"
+    assert config_digest(config) == expected
+    assert config_digest(load_config(dump_config(config), from_path=False)) == expected
 
 
 def test_config_digest_survives_persistence():

@@ -1,12 +1,16 @@
 """Golden digests: a (config, seed) pair fixes a run's document bit-exactly.
 
 Each digest is the SHA-256 of the ``.result.json`` bytes that
-``orthosim run --config`` writes for that run.  A change that alters
+``orthosim run --config`` writes for that run, through
+``RunResult.write_json``; ``json.dumps(doc, indent=2, sort_keys=True)``
+of the document dict stays the oracle those bytes must equal.  A change that alters
 which draws a seed produces must say so and commit new digests; print
 them with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import dataclasses
 import hashlib
+import io
 import json
 
 import pytest
@@ -85,9 +89,15 @@ GOLDEN = {
 }
 
 
+def document_text(result) -> str:
+    """The run document exactly as ``RunResult.write_json`` writes it."""
+    buffer = io.StringIO()
+    result.write_json(buffer)
+    return buffer.getvalue()
+
+
 def result_digest(name: str, seed: int) -> str:
-    doc = run(CONFIGS[name], seed=seed).to_json_dict()
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = document_text(run(CONFIGS[name], seed=seed))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -95,6 +105,46 @@ def result_digest(name: str, seed: int) -> str:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_result_document_digest(name, seed):
     assert result_digest(name, seed) == GOLDEN[(name, seed)]
+
+
+# runs beyond the goldens whose documents take the writer's other branches
+EXTRA_RESULTS = {
+    # payloads are [] on abort; the attack report's events are a list
+    "stream-aborted": lambda: run(ProtocolConfig(
+        kind="stream-qkd", block_size=40, threshold=0.0,
+        adversary=AdversarySpec("quantum-intercept-resend"),
+    ), seed=3),
+    # no attack report and no verdict: both null
+    "no-report-no-verdict": lambda: dataclasses.replace(
+        run(CONFIGS["stream-clean"], seed=1), verdict=None, attack_report=None
+    ),
+    # a pairing guess past the exact limit: guess fields set, information null
+    "pop-guess-large": lambda: run(ProtocolConfig(
+        kind="pop-qsdc", block_size=70, threshold=0.05, message_bits=(1, 0, 1),
+        adversary=AdversarySpec("probe", theta=0.2, guess_pairing=True),
+    ), seed=4),
+    # a transcript run longer than one write chunk
+    "stream-10k": lambda: run(ProtocolConfig(
+        kind="stream-qkd", block_size=10_000, threshold=0.2,
+        adversary=AdversarySpec("probe", theta=0.4), noise=NoiseSpec("depolarizing", 0.01),
+    ), seed=5),
+}
+ORACLE_CASES = [(name, seed) for name in sorted(CONFIGS) for seed in SEEDS] + [
+    (name, None) for name in EXTRA_RESULTS
+]
+
+
+@pytest.mark.parametrize("name, seed", ORACLE_CASES)
+def test_written_document_matches_json_dumps(name, seed):
+    result = run(CONFIGS[name], seed=seed) if seed is not None else EXTRA_RESULTS[name]()
+    doc = result.to_json_dict()
+    assert document_text(result) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if name == "stream-aborted":
+        assert result.outcome == "aborted" and doc["alice_payload"] == []
+    if name == "no-report-no-verdict":
+        assert doc["verdict"] is None and doc["attack_report"] is None
+    if name == "pop-guess-large":
+        assert doc["attack_report"]["guess_success_empirical"] is not None
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from orthosim.gpt import FiducialSpec, GbitBlock
 from orthosim.quantum import NoiseChannel, QuantumRegistry
+from orthosim import transport
 from orthosim.transport import (
     Channel,
     EveHook,
@@ -252,6 +255,59 @@ def test_transcript_jsonl_roundtrip():
     restored = Transcript.from_jsonl(text)
     assert restored.records == channel.transcript.records
     assert restored.to_jsonl() == text
+
+
+def written_json(transcript, level):
+    buffer = io.StringIO()
+    transcript.write_json(buffer, level)
+    return buffer.getvalue()
+
+
+def nested_json(records, level):
+    """json.dumps of the records nested ``level`` dicts deep, and where they sit."""
+    doc = records
+    for _ in range(level):
+        doc = {"t": doc}
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    head = "".join("{\n" + "  " * (i + 1) + '"t": ' for i in range(level))
+    tail = "".join("\n" + "  " * i + "}" for i in reversed(range(level)))
+    assert text.startswith(head) and text.endswith(tail)
+    return text[len(head): len(text) - len(tail)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.sampled_from(["alice", "bob", "e\u00e9"]),
+            st.one_of(st.text(max_size=12), st.just('x "round_index": 7, \\"')),
+            st.booleans(),
+            st.integers(1, 6),
+        ),
+        max_size=5,
+    ),
+    level=st.integers(0, 3),
+)
+def test_transcript_json_matches_the_encoder(runs, level):
+    transcript = Transcript()
+    for carrier, sender, payload, tampered, count in runs:
+        channel = "carrier" if carrier else "classical"
+        transcript.append(TranscriptRecord(
+            transcript.last_round + 1, channel, sender, payload, tampered and carrier
+        ), count)
+    assert written_json(transcript, level) == nested_json(transcript.to_dicts(), level)
+
+
+def test_transcript_json_spans_write_chunks(monkeypatch):
+    monkeypatch.setattr(transport, "_CHUNK", 2)
+    transcript = Transcript()
+    for count in (1, 2, 3, 5):
+        transcript.append(TranscriptRecord(
+            transcript.last_round + 1, "carrier", "alice", f"len={count}", False
+        ), count)
+    assert written_json(transcript, 1) == nested_json(transcript.to_dicts(), 1)
+    assert written_json(transcript, 0) == json.dumps(transcript.to_dicts(), indent=2, sort_keys=True)
 
 
 def test_transcript_determinism_same_seed():
