@@ -1,11 +1,12 @@
 """Simulation suite for orthogonal-state-based cryptographic protocols.
 
 Layered bottom-up: ``gpt`` (fiducial-table states as gbit blocks),
-``quantum`` (small dense qubit simulator with Bell machinery and noise,
-and the Pauli-frame pair engine),
-``transport`` (carriers, permutations, the eavesdropper-hookable
-channel), ``config`` (validated protocol configurations), ``metrics``
-(entropies, information rates, security verdicts), ``adversary``
+``quantum`` (the Pauli-frame pair engine, noise channels as Pauli
+mixtures, the probe-attack spec, and the Holevo helpers the benchmark
+tracer pins), ``transport`` (gbit and particle blocks, the
+eavesdropper-hookable channel, transcripts), ``config`` (validated
+protocol configurations), ``metrics`` (entropies, information rates,
+the closed-form probe sweep, security verdicts), ``adversary``
 (attack strategies and their exact information analytics),
 ``protocols`` (the runnable state machines and class reductions), and
 ``cli`` (experiment runner).
@@ -21,7 +22,6 @@ from orthosim.adversary import (
     escape_probability_checked,
     escape_probability_sampled,
     matching_count,
-    perfect_matchings,
     permutation_attack,
     pop_eve_information,
     sample_matching,
@@ -87,14 +87,7 @@ from orthosim.quantum import (
     QuantumRegistry,
     QuantumValidationError,
     ResourceLimitError,
-    StateVector,
-    basis_state,
-    bell_measure,
-    dense_encode,
     holevo_information,
-    probe_interact,
-    reduced_state,
-    singlet,
     von_neumann_entropy,
 )
 from orthosim.transport import (

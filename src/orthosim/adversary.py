@@ -3,7 +3,7 @@
 Channel hooks implementing fiducial intercept-resend on gbit blocks,
 projective intercept-resend on quantum particle blocks, and per-particle
 entangling probes, plus the closed-form escape probability, perfect-matching
-machinery for pairing attacks on permuted blocks, and exact Holevo
+counts and sampling for pairing attacks on permuted blocks, and exact Holevo
 evaluations of the eavesdropper's information in streaming versus
 permuted-block transmission.
 """
@@ -14,7 +14,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "escape_probability_checked",
     "escape_probability_sampled",
     "matching_count",
-    "perfect_matchings",
     "permutation_attack",
     "pop_eve_information",
     "sample_matching",
@@ -279,21 +278,6 @@ def _matching_probability(num_pairs: int) -> float:
     if log_count < 709.0:  # the count fits a float
         return 1.0 / matching_count(n)
     return math.exp(-log_count)
-
-
-def perfect_matchings(items: Iterable) -> Iterator[tuple[tuple, ...]]:
-    """Yield every partition of items into unordered pairs."""
-    pool = list(items)
-    if len(pool) % 2:
-        raise AdversaryError("perfect matchings need an even number of items")
-    if not pool:
-        yield ()
-        return
-    first, rest = pool[0], pool[1:]
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        for tail in perfect_matchings(remaining):
-            yield ((first, partner),) + tail
 
 
 def sample_matching(items: Sequence, rng: np.random.Generator) -> list[tuple]:

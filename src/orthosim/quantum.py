@@ -1,14 +1,15 @@
-"""Exact little-endian qubit engine.
+"""Pair engine for the Bell-pair protocols.
 
-Amplitude index ``i`` encodes qubit ``q`` in bit ``(i >> q) & 1``, so qubit
-0 is the least significant bit.  States here are dense and exact, which
-is why register sizes are capped at ``MAX_QUBITS``.
+:class:`QuantumRegistry` holds each pair of a protocol run as one int8
+state code, a Pauli frame on a singlet or a product of Z/X eigenstates,
+and runs every operation as a lookup in tables built at import.  Beside
+it: the Bell outcomes, memoryless noise channels as Pauli mixtures, and
+the probe-attack spec, whose probes the engine traces out as Z flips.
 
-Also houses the Bell-pair toolbox (singlet preparation, dense coding, Bell
-projection), the probe-interaction family used by eavesdropping models,
-memoryless noise channels, and :class:`QuantumRegistry`, the batched pair
-engine that holds each pair of a protocol run as one int8 state code, a
-Pauli frame on a singlet or a product of eigenstates.
+The module also keeps a small density-matrix Holevo helper set
+(:class:`DensityMatrix`, :func:`von_neumann_entropy`,
+:func:`holevo_information`) that no protocol path calls; the benchmark
+tracer pins it by name.
 """
 
 from __future__ import annotations
@@ -21,18 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
-MAX_QUBITS = 14
-NORM_TOL = 1e-10
-TRACE_TOL = 1e-10
-HERMITICITY_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-10
-WEIGHT_SUM_TOL = 1e-12
-
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 class QuantumError(ValueError):
@@ -43,250 +36,11 @@ class QuantumValidationError(QuantumError):
     """Malformed state, operator, or argument."""
 
 
-class ResourceLimitError(QuantumError):
-    """A register would exceed MAX_QUBITS."""
-
-
-def _num_qubits_for(dim: int) -> int:
-    n = dim.bit_length() - 1
-    if dim <= 0 or 2**n != dim:
-        raise QuantumValidationError(f"dimension {dim} is not a power of two")
-    return n
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state over ``num_qubits`` qubits."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        n = _num_qubits_for(amps.size)
-        if n > MAX_QUBITS:
-            raise ResourceLimitError(
-                f"{n} qubits exceeds the MAX_QUBITS={MAX_QUBITS} guard"
-            )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise QuantumValidationError(
-                f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}"
-            )
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def num_qubits(self) -> int:
-        return self.amplitudes.size.bit_length() - 1
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator.
-
-    ``spectrum`` holds the ascending eigenvalues that the positivity
-    check computes, so entropies need no second eigensolve.
-    """
-
-    matrix: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise QuantumValidationError(f"matrix shape {mat.shape} is not square")
-        n = _num_qubits_for(mat.shape[0])
-        if n > MAX_QUBITS:
-            raise ResourceLimitError(
-                f"{n} qubits exceeds the MAX_QUBITS={MAX_QUBITS} guard"
-            )
-        if not np.allclose(mat, mat.conj().T, atol=HERMITICITY_TOL, rtol=0.0):
-            raise QuantumValidationError("matrix is not Hermitian within tolerance")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise QuantumValidationError(
-                f"trace {trace!r} deviates from 1 by more than {TRACE_TOL}"
-            )
-        spectrum = np.linalg.eigvalsh(mat)
-        smallest = float(spectrum[0])
-        if smallest < EIGENVALUE_FLOOR:
-            raise QuantumValidationError(
-                f"eigenvalue {smallest!r} below the {EIGENVALUE_FLOOR} floor"
-            )
-        mat.flags.writeable = False
-        spectrum.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "spectrum", spectrum)
-
-    @property
-    def num_qubits(self) -> int:
-        return self.matrix.shape[0].bit_length() - 1
-
-
 class BellOutcome(IntEnum):
     PHI_PLUS = 0
     PHI_MINUS = 1
     PSI_PLUS = 2
     PSI_MINUS = 3
-
-
-_SQ2 = 1.0 / math.sqrt(2)
-# rows indexed by BellOutcome; columns by local index 2*bit_first + bit_second
-_BELL_BASIS = np.array(
-    [
-        [_SQ2, 0, 0, _SQ2],
-        [_SQ2, 0, 0, -_SQ2],
-        [0, _SQ2, _SQ2, 0],
-        [0, _SQ2, -_SQ2, 0],
-    ],
-    dtype=complex,
-)
-
-
-def basis_state(num_qubits: int, index: int) -> StateVector:
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps)
-
-
-def singlet() -> StateVector:
-    """Antisymmetric Bell pair, amplitudes (0, 1/sqrt2, -1/sqrt2, 0)."""
-    return StateVector(np.array([0.0, _SQ2, -_SQ2, 0.0], dtype=complex))
-
-
-def ry(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def controlled_gate(gate: np.ndarray) -> np.ndarray:
-    """Two-qubit block gate: identity on control 0, ``gate`` on control 1.
-
-    Local ordering is (control, target): index = 2*control_bit + target_bit.
-    """
-    out = np.eye(4, dtype=complex)
-    out[2:, 2:] = np.asarray(gate, dtype=complex)
-    return out
-
-
-def _axis(num_qubits: int, qubit: int) -> int:
-    if not (0 <= qubit < num_qubits):
-        raise QuantumValidationError(
-            f"qubit index {qubit} outside [0, {num_qubits})"
-        )
-    return num_qubits - 1 - qubit
-
-
-def _apply_gate_vec(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
-    """Apply a (2^k x 2^k) gate to qubits of a raw amplitude vector.
-
-    ``qubits[0]`` is the most significant local index of the gate.
-    """
-    n = amps.size.bit_length() - 1
-    axes = [_axis(n, q) for q in qubits]
-    if len(set(qubits)) != len(qubits):
-        raise QuantumValidationError(f"duplicate qubits in {qubits}")
-    k = len(qubits)
-    arr = amps.reshape([2] * n)
-    arr = np.moveaxis(arr, axes, range(k))
-    arr = (np.asarray(gate, dtype=complex) @ arr.reshape(2**k, -1)).reshape([2] * n)
-    arr = np.moveaxis(arr, range(k), axes)
-    return arr.reshape(-1)
-
-
-def apply_single_qubit_gate(state: StateVector, gate: np.ndarray, qubit: int) -> StateVector:
-    return StateVector(_apply_gate_vec(state.amplitudes, gate, [qubit]))
-
-
-_DENSE_OPS = {
-    (0, 0): PAULI_I,
-    (0, 1): PAULI_X,
-    (1, 0): PAULI_Z,
-    (1, 1): PAULI_X @ PAULI_Z,
-}
-
-
-def dense_encode(two_bits: Sequence[int], pair: StateVector, which: int = 0) -> StateVector:
-    """Encode two classical bits on one half of an entangled pair.
-
-    Bit pairs 00/01/10/11 map to I/X/Z/XZ on qubit ``which``.  Applied to
-    the four bit pairs on a shared singlet this produces the four mutually
-    orthogonal Bell states, so both bits are recoverable from one Bell
-    measurement of the pair.
-    """
-    bits = tuple(int(b) for b in two_bits)
-    if len(bits) != 2 or any(b not in (0, 1) for b in bits):
-        raise QuantumValidationError(f"two_bits must be a pair of bits, got {two_bits!r}")
-    op = _DENSE_OPS[bits]
-    return apply_single_qubit_gate(pair, op, which)
-
-
-def bell_measure(state: StateVector, qubit_a: int, qubit_b: int, rng) -> tuple[BellOutcome, StateVector]:
-    """Projective Bell-basis measurement of two qubits.
-
-    Outcome probabilities follow the Born rule; the returned state is the
-    renormalized projection (for a bare pair, the Bell state itself).
-    """
-    n = state.num_qubits
-    if qubit_a == qubit_b:
-        raise QuantumValidationError("bell measurement needs two distinct qubits")
-    axes = (_axis(n, qubit_a), _axis(n, qubit_b))
-    arr = np.moveaxis(state.amplitudes.reshape([2] * n), axes, (0, 1)).reshape(4, -1)
-    coeffs = _BELL_BASIS.conj() @ arr              # (4, rest)
-    probs = np.einsum("kr,kr->k", coeffs, coeffs.conj()).real
-    total = float(probs.sum())
-    probs = probs / total
-    outcome = int((rng.random() >= np.cumsum(probs)[:3]).sum())
-    residual = coeffs[outcome] / math.sqrt(max(float(probs[outcome]) * total, 1e-300))
-    post = np.outer(_BELL_BASIS[outcome], residual).reshape([2] * n)
-    post = np.moveaxis(post, (0, 1), axes).reshape(-1)
-    return BellOutcome(outcome), StateVector(post)
-
-
-def density(state: StateVector) -> DensityMatrix:
-    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()))
-
-
-def reduced_state(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix of a pure state over the kept qubits."""
-    n = state.num_qubits
-    keep_sorted = sorted(set(keep))
-    if not keep_sorted:
-        raise QuantumValidationError("keep must name at least one qubit")
-    traced_axes = [_axis(n, q) for q in range(n) if q not in keep_sorted]
-    psi = state.amplitudes.reshape([2] * n)
-    rho = np.tensordot(psi, psi.conj(), axes=(traced_axes, traced_axes))
-    dim = 2 ** len(keep_sorted)
-    return DensityMatrix(rho.reshape(dim, dim))
-
-
-def von_neumann_entropy(dm: DensityMatrix) -> float:
-    """Entropy in bits; eigenvalues in [-1e-10, 0) are clipped to zero."""
-    eigs = dm.spectrum
-    eigs = np.where((eigs < 0.0) & (eigs >= EIGENVALUE_FLOOR), 0.0, eigs)
-    positive = eigs[eigs > 0.0]
-    return float(-(positive * np.log2(positive)).sum())
-
-
-def holevo_information(ensemble: Sequence[tuple[float, DensityMatrix]]) -> float:
-    """Entropy of the average state minus the average entropy, in bits.
-
-    Upper-bounds any classical information extractable from the ensemble.
-    """
-    if not ensemble:
-        raise QuantumValidationError("ensemble must be nonempty")
-    weights = [float(p) for p, _ in ensemble]
-    if any(w < 0.0 for w in weights):
-        raise QuantumValidationError("ensemble probabilities must be nonnegative")
-    if abs(math.fsum(weights) - 1.0) > WEIGHT_SUM_TOL:
-        raise QuantumValidationError("ensemble probabilities must sum to 1")
-    dim = ensemble[0][1].matrix.shape[0]
-    for _, dm in ensemble:
-        if dm.matrix.shape[0] != dim:
-            raise QuantumValidationError("ensemble states must share one dimension")
-    avg = sum(p * dm.matrix for p, dm in ensemble)
-    mean_entropy = math.fsum(p * von_neumann_entropy(dm) for p, dm in ensemble)
-    return von_neumann_entropy(DensityMatrix(avg)) - mean_entropy
 
 
 # --------------------------------------------------------------- noise
@@ -311,17 +65,6 @@ class NoiseChannel:
                 f"channel probability {self.probability!r} outside [0, 1]"
             )
 
-    def kraus_operators(self) -> list[np.ndarray]:
-        p = self.probability
-        if self.kind == "bit-flip":
-            return [math.sqrt(1.0 - p) * PAULI_I, math.sqrt(p) * PAULI_X]
-        return [
-            math.sqrt(1.0 - 0.75 * p) * PAULI_I,
-            math.sqrt(0.25 * p) * PAULI_X,
-            math.sqrt(0.25 * p) * PAULI_Y,
-            math.sqrt(0.25 * p) * PAULI_Z,
-        ]
-
     def pauli_mixture(self) -> list[tuple[float, np.ndarray]]:
         """The channel as a random-Pauli process (used for trajectories)."""
         p = self.probability
@@ -342,9 +85,9 @@ class NoiseChannel:
 class ProbeAttackSpec:
     """One-parameter entangling-probe family.
 
-    The unitary acts on (system qubit, fresh probe qubit in ``|0>``) as
-    identity when the system is 0 and as a rotation of the probe by
-    ``2*theta`` when the system is 1.  ``theta=0`` is transparent;
+    The probe interaction acts on (system qubit, fresh probe qubit in
+    ``|0>``) as identity when the system is 0 and as a rotation of the
+    probe by ``2*theta`` when the system is 1.  ``theta=0`` is transparent;
     ``theta=pi/2`` copies the system's computational bit onto the probe.
     """
 
@@ -355,21 +98,6 @@ class ProbeAttackSpec:
             raise QuantumValidationError(
                 f"theta {self.theta!r} outside [0, pi/2]"
             )
-        u = self.unitary()
-        if not np.allclose(u.conj().T @ u, np.eye(4), atol=1e-10, rtol=0.0):
-            raise QuantumValidationError("probe unitary failed the unitarity check")
-
-    def unitary(self) -> np.ndarray:
-        """4x4 matrix on (system, probe) local ordering."""
-        return controlled_gate(ry(2.0 * self.theta))
-
-
-def probe_interact(system: StateVector, spec: ProbeAttackSpec, system_qubit: int = 0) -> StateVector:
-    """Append the probe as a fresh highest-index qubit in ``|0>`` and
-    entangle it with ``system_qubit`` via the attack's controlled rotation."""
-    joint = np.kron([1.0, 0.0], system.amplitudes)
-    n = system.num_qubits + 1  # StateVector enforces MAX_QUBITS
-    return StateVector(_apply_gate_vec(joint, spec.unitary(), [system_qubit, n - 1]))
 
 
 # --------------------------------------------------------------- pair engine
@@ -562,3 +290,103 @@ class QuantumRegistry:
         outcomes = (rng.random(pairs.size) >= cumulative).sum(axis=0)
         self._code[pairs] = 3 - outcomes  # BellOutcome k is frame 3 - k
         return outcomes
+
+
+# --------------------------------------------------------------- Holevo helpers
+# No protocol path calls these.  The benchmark tracer (bench/tracing.py)
+# resolves holevo_information by name, and the rest are what it needs; all
+# of them retire with the benchmark refresh (ROADMAP direction 1).
+
+# kept for the tracer-pinned holevo_information, as are the names below
+MAX_QUBITS = 14
+TRACE_TOL = 1e-10
+HERMITICITY_TOL = 1e-10
+EIGENVALUE_FLOOR = -1e-10
+WEIGHT_SUM_TOL = 1e-12
+
+
+# kept for the tracer-pinned holevo_information
+class ResourceLimitError(QuantumError):
+    """A register would exceed MAX_QUBITS."""
+
+
+def _num_qubits_for(dim: int) -> int:
+    n = dim.bit_length() - 1
+    if dim <= 0 or 2**n != dim:
+        raise QuantumValidationError(f"dimension {dim} is not a power of two")
+    return n
+
+
+# kept for the tracer-pinned holevo_information
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Hermitian, unit-trace, positive-semidefinite operator.
+
+    ``spectrum`` holds the ascending eigenvalues that the positivity
+    check computes, so entropies need no second eigensolve.
+    """
+
+    matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mat = np.array(self.matrix, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise QuantumValidationError(f"matrix shape {mat.shape} is not square")
+        n = _num_qubits_for(mat.shape[0])
+        if n > MAX_QUBITS:
+            raise ResourceLimitError(
+                f"{n} qubits exceeds the MAX_QUBITS={MAX_QUBITS} guard"
+            )
+        if not np.allclose(mat, mat.conj().T, atol=HERMITICITY_TOL, rtol=0.0):
+            raise QuantumValidationError("matrix is not Hermitian within tolerance")
+        trace = complex(np.trace(mat))
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise QuantumValidationError(
+                f"trace {trace!r} deviates from 1 by more than {TRACE_TOL}"
+            )
+        spectrum = np.linalg.eigvalsh(mat)
+        smallest = float(spectrum[0])
+        if smallest < EIGENVALUE_FLOOR:
+            raise QuantumValidationError(
+                f"eigenvalue {smallest!r} below the {EIGENVALUE_FLOOR} floor"
+            )
+        mat.flags.writeable = False
+        spectrum.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "spectrum", spectrum)
+
+    @property
+    def num_qubits(self) -> int:
+        return self.matrix.shape[0].bit_length() - 1
+
+
+# kept for the tracer-pinned holevo_information
+def von_neumann_entropy(dm: DensityMatrix) -> float:
+    """Entropy in bits; eigenvalues in [-1e-10, 0) are clipped to zero."""
+    eigs = dm.spectrum
+    eigs = np.where((eigs < 0.0) & (eigs >= EIGENVALUE_FLOOR), 0.0, eigs)
+    positive = eigs[eigs > 0.0]
+    return float(-(positive * np.log2(positive)).sum())
+
+
+# pinned by the benchmark tracer; retires with the benchmark refresh
+def holevo_information(ensemble: Sequence[tuple[float, DensityMatrix]]) -> float:
+    """Entropy of the average state minus the average entropy, in bits.
+
+    Upper-bounds any classical information extractable from the ensemble.
+    """
+    if not ensemble:
+        raise QuantumValidationError("ensemble must be nonempty")
+    weights = [float(p) for p, _ in ensemble]
+    if any(w < 0.0 for w in weights):
+        raise QuantumValidationError("ensemble probabilities must be nonnegative")
+    if abs(math.fsum(weights) - 1.0) > WEIGHT_SUM_TOL:
+        raise QuantumValidationError("ensemble probabilities must sum to 1")
+    dim = ensemble[0][1].matrix.shape[0]
+    for _, dm in ensemble:
+        if dm.matrix.shape[0] != dim:
+            raise QuantumValidationError("ensemble states must share one dimension")
+    avg = sum(p * dm.matrix for p, dm in ensemble)
+    mean_entropy = math.fsum(p * von_neumann_entropy(dm) for p, dm in ensemble)
+    return von_neumann_entropy(DensityMatrix(avg)) - mean_entropy

@@ -36,6 +36,8 @@ class TransportError(ValueError):
 # ---------------------------------------------------------------- permutations
 
 
+# no protocol path uses it; the benchmark tracer pins random and inverse, and
+# it retires with the benchmark refresh (ROADMAP direction 1)
 @dataclass(frozen=True)
 class Permutation:
     """Bijection on {0..size-1} with gather semantics.

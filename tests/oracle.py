@@ -7,26 +7,259 @@ written out as array arithmetic.  ``orthosim.quantum.QuantumRegistry``
 packs the same state into one code per pair and runs the same rules as
 table lookups; it must match this engine draw for draw.
 
-``apply_channel`` is the exact Kraus-sum action of a noise channel on
-one qubit, the oracle for the engines' trajectory noise.
+The dense toolbox is the exact little-endian state-vector path: amplitude
+index ``i`` encodes qubit ``q`` in bit ``(i >> q) & 1``, so qubit 0 is the
+least significant bit, and registers are capped at ``MAX_QUBITS``.  It
+holds singlets, gates, dense coding, Bell projection, partial traces, the
+probe interaction ``probe_interact``, and ``apply_channel``, the exact
+Kraus-sum action of a noise channel on one qubit, which is the oracle for
+the engines' trajectory noise.  ``dense_sweep_point`` computes one point
+of the probe-family sweep on that path, the oracle for the closed forms
+in ``orthosim.metrics``.
+
+The PoP (permutation of particles) references build Eve's probe states by
+dense enumeration of every placement, the oracles for
+``orthosim.adversary.pop_eve_information``.
 """
 
+import itertools
 import math
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from orthosim.adversary import AdversaryError
+from orthosim.metrics import SweepPoint, binary_entropy
 from orthosim.quantum import (
+    MAX_QUBITS,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    BellOutcome,
     DensityMatrix,
     NoiseChannel,
     ProbeAttackSpec,
     QuantumValidationError,
-    StateVector,
-    density,
+    ResourceLimitError,
+    _num_qubits_for,
+    holevo_information,
 )
+
+NORM_TOL = 1e-10
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_SQ2 = 1.0 / math.sqrt(2)
+
+
+# ---------------------------------------------------------------- dense toolbox
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Normalized pure state over ``num_qubits`` qubits."""
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        n = _num_qubits_for(amps.size)
+        if n > MAX_QUBITS:
+            raise ResourceLimitError(
+                f"{n} qubits exceeds the MAX_QUBITS={MAX_QUBITS} guard"
+            )
+        norm = float(np.linalg.norm(amps))
+        if abs(norm - 1.0) > NORM_TOL:
+            raise QuantumValidationError(
+                f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}"
+            )
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def num_qubits(self) -> int:
+        return self.amplitudes.size.bit_length() - 1
+
+
+# rows indexed by BellOutcome; columns by local index 2*bit_first + bit_second
+_BELL_BASIS = np.array(
+    [
+        [_SQ2, 0, 0, _SQ2],
+        [_SQ2, 0, 0, -_SQ2],
+        [0, _SQ2, _SQ2, 0],
+        [0, _SQ2, -_SQ2, 0],
+    ],
+    dtype=complex,
+)
+
+
+def basis_state(num_qubits: int, index: int) -> StateVector:
+    amps = np.zeros(2**num_qubits, dtype=complex)
+    amps[index] = 1.0
+    return StateVector(amps)
+
+
+def singlet() -> StateVector:
+    """Antisymmetric Bell pair, amplitudes (0, 1/sqrt2, -1/sqrt2, 0)."""
+    return StateVector(np.array([0.0, _SQ2, -_SQ2, 0.0], dtype=complex))
+
+
+def ry(angle: float) -> np.ndarray:
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def controlled_gate(gate: np.ndarray) -> np.ndarray:
+    """Two-qubit block gate: identity on control 0, ``gate`` on control 1.
+
+    Local ordering is (control, target): index = 2*control_bit + target_bit.
+    """
+    out = np.eye(4, dtype=complex)
+    out[2:, 2:] = np.asarray(gate, dtype=complex)
+    return out
+
+
+def _axis(num_qubits: int, qubit: int) -> int:
+    if not (0 <= qubit < num_qubits):
+        raise QuantumValidationError(
+            f"qubit index {qubit} outside [0, {num_qubits})"
+        )
+    return num_qubits - 1 - qubit
+
+
+def _apply_gate_vec(amps: np.ndarray, gate: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
+    """Apply a (2^k x 2^k) gate to qubits of a raw amplitude vector.
+
+    ``qubits[0]`` is the most significant local index of the gate.
+    """
+    n = amps.size.bit_length() - 1
+    axes = [_axis(n, q) for q in qubits]
+    if len(set(qubits)) != len(qubits):
+        raise QuantumValidationError(f"duplicate qubits in {qubits}")
+    k = len(qubits)
+    arr = amps.reshape([2] * n)
+    arr = np.moveaxis(arr, axes, range(k))
+    arr = (np.asarray(gate, dtype=complex) @ arr.reshape(2**k, -1)).reshape([2] * n)
+    arr = np.moveaxis(arr, range(k), axes)
+    return arr.reshape(-1)
+
+
+def apply_single_qubit_gate(state: StateVector, gate: np.ndarray, qubit: int) -> StateVector:
+    return StateVector(_apply_gate_vec(state.amplitudes, gate, [qubit]))
+
+
+_DENSE_OPS = {
+    (0, 0): PAULI_I,
+    (0, 1): PAULI_X,
+    (1, 0): PAULI_Z,
+    (1, 1): PAULI_X @ PAULI_Z,
+}
+
+
+def dense_encode(two_bits: Sequence[int], pair: StateVector, which: int = 0) -> StateVector:
+    """Encode two classical bits on one half of an entangled pair.
+
+    Bit pairs 00/01/10/11 map to I/X/Z/XZ on qubit ``which``.  Applied to
+    the four bit pairs on a shared singlet this produces the four mutually
+    orthogonal Bell states, so both bits are recoverable from one Bell
+    measurement of the pair.
+    """
+    bits = tuple(int(b) for b in two_bits)
+    if len(bits) != 2 or any(b not in (0, 1) for b in bits):
+        raise QuantumValidationError(f"two_bits must be a pair of bits, got {two_bits!r}")
+    op = _DENSE_OPS[bits]
+    return apply_single_qubit_gate(pair, op, which)
+
+
+def bell_measure(state: StateVector, qubit_a: int, qubit_b: int, rng) -> tuple[BellOutcome, StateVector]:
+    """Projective Bell-basis measurement of two qubits.
+
+    Outcome probabilities follow the Born rule; the returned state is the
+    renormalized projection (for a bare pair, the Bell state itself).
+    """
+    n = state.num_qubits
+    if qubit_a == qubit_b:
+        raise QuantumValidationError("bell measurement needs two distinct qubits")
+    axes = (_axis(n, qubit_a), _axis(n, qubit_b))
+    arr = np.moveaxis(state.amplitudes.reshape([2] * n), axes, (0, 1)).reshape(4, -1)
+    coeffs = _BELL_BASIS.conj() @ arr              # (4, rest)
+    probs = np.einsum("kr,kr->k", coeffs, coeffs.conj()).real
+    total = float(probs.sum())
+    probs = probs / total
+    outcome = int((rng.random() >= np.cumsum(probs)[:3]).sum())
+    residual = coeffs[outcome] / math.sqrt(max(float(probs[outcome]) * total, 1e-300))
+    post = np.outer(_BELL_BASIS[outcome], residual).reshape([2] * n)
+    post = np.moveaxis(post, (0, 1), axes).reshape(-1)
+    return BellOutcome(outcome), StateVector(post)
+
+
+def density(state: StateVector) -> DensityMatrix:
+    return DensityMatrix(np.outer(state.amplitudes, state.amplitudes.conj()))
+
+
+def reduced_state(state: StateVector, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced density matrix of a pure state over the kept qubits."""
+    n = state.num_qubits
+    keep_sorted = sorted(set(keep))
+    if not keep_sorted:
+        raise QuantumValidationError("keep must name at least one qubit")
+    traced_axes = [_axis(n, q) for q in range(n) if q not in keep_sorted]
+    psi = state.amplitudes.reshape([2] * n)
+    rho = np.tensordot(psi, psi.conj(), axes=(traced_axes, traced_axes))
+    dim = 2 ** len(keep_sorted)
+    return DensityMatrix(rho.reshape(dim, dim))
+
+
+def kraus_operators(channel: NoiseChannel) -> list[np.ndarray]:
+    """Kraus operators of a noise channel; their Pauli weights are the
+    channel's ``pauli_mixture``."""
+    p = channel.probability
+    if channel.kind == "bit-flip":
+        return [math.sqrt(1.0 - p) * PAULI_I, math.sqrt(p) * PAULI_X]
+    return [
+        math.sqrt(1.0 - 0.75 * p) * PAULI_I,
+        math.sqrt(0.25 * p) * PAULI_X,
+        math.sqrt(0.25 * p) * PAULI_Y,
+        math.sqrt(0.25 * p) * PAULI_Z,
+    ]
+
+
+def probe_unitary(theta: float) -> np.ndarray:
+    """The probe attack's 4x4 unitary on (system, probe) local ordering:
+    rotate the probe by 2*theta when the system is 1."""
+    return controlled_gate(ry(2.0 * theta))
+
+
+def probe_interact(system: StateVector, spec: ProbeAttackSpec, system_qubit: int = 0) -> StateVector:
+    """Append the probe as a fresh highest-index qubit in ``|0>`` and
+    entangle it with ``system_qubit`` via the attack's controlled rotation."""
+    joint = np.kron([1.0, 0.0], system.amplitudes)
+    n = system.num_qubits + 1  # StateVector enforces MAX_QUBITS
+    return StateVector(_apply_gate_vec(joint, probe_unitary(spec.theta), [system_qubit, n - 1]))
+
+
+def dense_sweep_point(theta: float) -> SweepPoint:
+    """One probe-family sweep point on the state-vector path: the flip
+    rate of the conjugate check state |+>, the rate 1 - h(e), and the
+    Holevo information of Eve's two reduced probe states."""
+    spec = ProbeAttackSpec(theta)
+    # disturbance: probability a conjugate-basis check state flips
+    plus = StateVector(np.array([_SQ2, _SQ2]))
+    rho = reduced_state(probe_interact(plus, spec), [0]).matrix
+    minus = np.array([_SQ2, -_SQ2])
+    error = float(np.real(minus.conj() @ rho @ minus))
+    error = min(max(error, 0.0), 1.0)
+    # eavesdropper side: Holevo information of the two probe states
+    ensemble = []
+    for bit in (0, 1):
+        joint = probe_interact(basis_state(1, bit), spec)
+        ensemble.append((0.5, reduced_state(joint, [1])))
+    return SweepPoint(
+        theta=theta,
+        error_rate=error,
+        info_ab=1.0 - binary_entropy(error),
+        info_ae=holevo_information(ensemble) + 0.0,  # normalize -0.0
+    )
 
 
 def kron_op(op, qubit, n):
@@ -44,13 +277,35 @@ def apply_channel(state, channel: NoiseChannel, qubit: int) -> DensityMatrix:
     DensityMatrix, as the sum of its lifted Kraus operators."""
     rho = density(state).matrix if isinstance(state, StateVector) else state.matrix
     n = rho.shape[0].bit_length() - 1
-    lifted = [kron_op(k, qubit, n) for k in channel.kraus_operators()]
+    lifted = [kron_op(k, qubit, n) for k in kraus_operators(channel)]
     return DensityMatrix(sum(k @ rho @ k.conj().T for k in lifted))
 
 
+def permute_qubits_raw(mat, perm):
+    """Relabel qubits of a density matrix: new qubit ``j`` is old qubit
+    ``perm[j]``."""
+    n = mat.shape[0].bit_length() - 1
+    assert sorted(perm) == list(range(n)), f"{perm!r} is not a permutation of 0..{n - 1}"
+    row_order = [n - 1 - perm[n - 1 - t] for t in range(n)]
+    order = row_order + [n + a for a in row_order]
+    return mat.reshape([2] * (2 * n)).transpose(order).reshape(mat.shape)
+
+
+# Bell states over the little-endian index bit0 + 2*bit1, built here
+# independently of the pair engine's tables and of bell_measure's basis
+ORACLE_BELL = {
+    BellOutcome.PHI_PLUS: np.array([_SQ2, 0, 0, _SQ2]),
+    BellOutcome.PHI_MINUS: np.array([_SQ2, 0, 0, -_SQ2]),
+    BellOutcome.PSI_PLUS: np.array([0, _SQ2, _SQ2, 0]),
+    BellOutcome.PSI_MINUS: np.array([0, _SQ2, -_SQ2, 0]),
+}
+
 # (X, Z) exponents of each Pauli, applied as X^x Z^z; Y is XZ up to the
 # global phase i, which no measurement sees
-_PAULI_BITS = ((PAULI_I, 0, 0), (PAULI_X, 1, 0), (PAULI_Y, 1, 1), (PAULI_Z, 0, 1))
+ORACLE_PAULIS = ((PAULI_I, 0, 0), (PAULI_X, 1, 0), (PAULI_Y, 1, 1), (PAULI_Z, 0, 1))
+
+
+# ---------------------------------------------------------------- pair engine
 
 # frame (x, z) of each BellOutcome: PHI+, PHI-, PSI+, PSI- = X^x Z^z (half 0) |PSI->
 _OUTCOME_FRAME = np.array([(1, 1), (1, 0), (0, 1), (0, 0)])
@@ -137,7 +392,7 @@ class ReferenceRegistry:
         qubits = np.broadcast_to(np.asarray(qubits, dtype=np.intp), pairs.shape)
         mixture = channel.pauli_mixture()
         # past the last cumulative weight (rounding) draws the identity
-        bits = [next((x, z) for op, x, z in _PAULI_BITS if op is m) for _, m in mixture]
+        bits = [next((x, z) for op, x, z in ORACLE_PAULIS if op is m) for _, m in mixture]
         table = np.array(bits + [(0, 0)], dtype=bool)
         cumulative = np.cumsum([w for w, _ in mixture])
         branch = (rng.random(pairs.size)[:, None] >= cumulative).sum(axis=1)
@@ -201,3 +456,123 @@ class ReferenceRegistry:
         self._frame[pairs] = _OUTCOME_FRAME[outcomes]
         self._basis[pairs] = -1
         return outcomes
+
+
+# ---------------------------------------------------------------- PoP probe states
+
+
+def perfect_matchings(items: Iterable) -> Iterator[tuple[tuple, ...]]:
+    """Yield every partition of items into unordered pairs."""
+    pool = list(items)
+    if len(pool) % 2:
+        raise AdversaryError("perfect matchings need an even number of items")
+    if not pool:
+        yield ()
+        return
+    first, rest = pool[0], pool[1:]
+    for i, partner in enumerate(rest):
+        remaining = rest[:i] + rest[i + 1 :]
+        for tail in perfect_matchings(remaining):
+            yield ((first, partner),) + tail
+
+
+def pair_probe_state(theta, bits):
+    """Eve's joint 2-probe state for one encoded pair, both halves probed,
+    on the exact state-vector path: the oracle for the closed forms."""
+    encoded = dense_encode(bits, singlet())
+    spec = ProbeAttackSpec(theta)
+    joint = probe_interact(encoded, spec, system_qubit=0)
+    joint = probe_interact(joint, spec, system_qubit=1)
+    return reduced_state(joint, [2, 3]).matrix
+
+
+def pair_states(theta):
+    return {
+        bits: pair_probe_state(theta, bits)
+        for bits in itertools.product((0, 1), repeat=2)
+    }
+
+
+def exhaustive_pop_state(sigma, message):
+    """Reference: the probe state of ``message`` averaged over every
+    placement, each perfect matching times each assignment of pairs to
+    matched edges."""
+    n = len(message)
+    placements = [
+        (matching, assignment)
+        for matching in perfect_matchings(range(2 * n))
+        for assignment in itertools.permutations(range(n))
+    ]
+    dim = 4**n
+    acc = np.zeros((dim, dim), dtype=complex)
+    canonical = np.eye(1, dtype=complex)
+    for bits in message:  # pair i sits at qubits (2i, 2i+1)
+        canonical = np.kron(sigma[bits], canonical)
+    for matching, assignment in placements:
+        perm = [0] * (2 * n)
+        for edge_index, (a, b) in enumerate(matching):
+            i = assignment[edge_index]
+            perm[min(a, b)] = 2 * i
+            perm[max(a, b)] = 2 * i + 1
+        acc += permute_qubits_raw(canonical, perm)
+    return acc / len(placements)
+
+
+def exhaustive_pop_information(theta, num_pairs):
+    """Reference for pop_eve_information: one ensemble state per message,
+    each averaged over every placement."""
+    sigma = pair_states(theta)
+    messages = list(itertools.product(list(sigma), repeat=num_pairs))
+    ensemble = [
+        (1.0 / len(messages), DensityMatrix(exhaustive_pop_state(sigma, message)))
+        for message in messages
+    ]
+    return holevo_information(ensemble) / num_pairs
+
+
+def matching_perms(num_pairs):
+    """One qubit relabeling per perfect matching of the 2N probe positions:
+    the canonical product's pair i lands on the matching's i-th edge."""
+    perms = []
+    for matching in perfect_matchings(range(2 * num_pairs)):
+        perm = [0] * (2 * num_pairs)
+        for i, (a, b) in enumerate(matching):  # a < b in every yielded edge
+            perm[a], perm[b] = 2 * i, 2 * i + 1
+        perms.append(perm)
+    return perms
+
+
+def pop_multiset_state(sigma, multiset, perms):
+    """The placement-averaged probe state shared by every message whose
+    dense-coded symbols form ``multiset``, and the number of those messages.
+
+    Averaging over the assignments of pairs to matched edges is averaging
+    the canonical product (pair i on qubits 2i, 2i+1) over the distinct
+    orderings of the multiset; the matchings in ``perms`` do the rest.
+    """
+    orderings = sorted(set(itertools.permutations(multiset)))
+    dim = 4 ** len(multiset)
+    symmetric = np.zeros((dim, dim), dtype=complex)
+    for ordering in orderings:
+        canonical = np.eye(1, dtype=complex)
+        for bits in ordering:
+            canonical = np.kron(sigma[bits], canonical)
+        symmetric += canonical
+    symmetric /= len(orderings)
+    acc = np.zeros((dim, dim), dtype=complex)
+    for perm in perms:
+        acc += permute_qubits_raw(symmetric, perm)
+    return len(orderings), acc / len(perms)
+
+
+def multiset_pop_information(theta, num_pairs):
+    """Reference for pop_eve_information up to N = 4: one ensemble state
+    per symbol multiset, weighted by its number of orderings, each averaged
+    over the perfect matchings."""
+    sigma = pair_states(theta)
+    perms = matching_perms(num_pairs)
+    ensemble = []
+    for multiset in itertools.combinations_with_replacement(sigma, num_pairs):
+        count, state = pop_multiset_state(sigma, multiset, perms)
+        ensemble.append((count / 4**num_pairs, DensityMatrix(state)))
+    return holevo_information(ensemble) / num_pairs

@@ -13,7 +13,6 @@ import numpy as np
 
 from orthosim.adversary import (
     matching_count,
-    perfect_matchings,
     permutation_attack,
     pop_eve_information,
     stream_eve_information,
@@ -35,6 +34,8 @@ from orthosim.protocols import (
     key_reduce,
     run,
 )
+
+from oracle import perfect_matchings
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -20,7 +20,6 @@ from orthosim.adversary import (
     escape_probability_checked,
     escape_probability_sampled,
     matching_count,
-    perfect_matchings,
     permutation_attack,
     pop_eve_information,
     sample_matching,
@@ -33,15 +32,24 @@ from orthosim.quantum import (
     DensityMatrix,
     ProbeAttackSpec,
     QuantumRegistry,
-    dense_encode,
     holevo_information,
-    probe_interact,
-    reduced_state,
-    singlet,
 )
 from orthosim.transport import ParticleBlock
 from conftest import assert_frequency
-from test_quantum import _ORACLE_BELL, _permute_qubits_raw
+from oracle import (
+    ORACLE_BELL,
+    dense_encode,
+    exhaustive_pop_information,
+    exhaustive_pop_state,
+    matching_perms,
+    multiset_pop_information,
+    pair_probe_state,
+    pair_states,
+    perfect_matchings,
+    permute_qubits_raw,
+    pop_multiset_state,
+    singlet,
+)
 
 S2 = 1.0 / math.sqrt(2)
 
@@ -340,7 +348,7 @@ def _exact_joint(code, bases):
         v0, v1 = eigen[bases[0]][e0], eigen[bases[1]][e1]
         post = np.kron(np.outer(v1, v1), np.outer(v0, v0)) @ psi  # qubit 0 is the low bit
         for k in BellOutcome:
-            joint[e0, e1, k] = abs(_ORACLE_BELL[k].conj() @ post) ** 2
+            joint[e0, e1, k] = abs(ORACLE_BELL[k].conj() @ post) ** 2
     return joint
 
 
@@ -438,108 +446,6 @@ def test_probe_attack_rejects_gbits():
 # ---------------------------------------------------------------- Holevo evaluations
 
 
-def _pair_probe_state(theta, bits):
-    """Eve's joint 2-probe state for one encoded pair, both halves probed,
-    on the exact state-vector path: the oracle for the closed forms."""
-    encoded = dense_encode(bits, singlet())
-    spec = ProbeAttackSpec(theta)
-    joint = probe_interact(encoded, spec, system_qubit=0)
-    joint = probe_interact(joint, spec, system_qubit=1)
-    return reduced_state(joint, [2, 3]).matrix
-
-
-def _pair_states(theta):
-    return {
-        bits: _pair_probe_state(theta, bits)
-        for bits in itertools.product((0, 1), repeat=2)
-    }
-
-
-def _exhaustive_pop_state(sigma, message):
-    """Reference: the probe state of ``message`` averaged over every
-    placement, each perfect matching times each assignment of pairs to
-    matched edges."""
-    n = len(message)
-    placements = [
-        (matching, assignment)
-        for matching in perfect_matchings(range(2 * n))
-        for assignment in itertools.permutations(range(n))
-    ]
-    dim = 4**n
-    acc = np.zeros((dim, dim), dtype=complex)
-    canonical = np.eye(1, dtype=complex)
-    for bits in message:  # pair i sits at qubits (2i, 2i+1)
-        canonical = np.kron(sigma[bits], canonical)
-    for matching, assignment in placements:
-        perm = [0] * (2 * n)
-        for edge_index, (a, b) in enumerate(matching):
-            i = assignment[edge_index]
-            perm[min(a, b)] = 2 * i
-            perm[max(a, b)] = 2 * i + 1
-        acc += _permute_qubits_raw(canonical, perm)
-    return acc / len(placements)
-
-
-def _exhaustive_pop_information(theta, num_pairs):
-    """Reference for pop_eve_information: one ensemble state per message,
-    each averaged over every placement."""
-    sigma = _pair_states(theta)
-    messages = list(itertools.product(list(sigma), repeat=num_pairs))
-    ensemble = [
-        (1.0 / len(messages), DensityMatrix(_exhaustive_pop_state(sigma, message)))
-        for message in messages
-    ]
-    return holevo_information(ensemble) / num_pairs
-
-
-def _matching_perms(num_pairs):
-    """One qubit relabeling per perfect matching of the 2N probe positions:
-    the canonical product's pair i lands on the matching's i-th edge."""
-    perms = []
-    for matching in perfect_matchings(range(2 * num_pairs)):
-        perm = [0] * (2 * num_pairs)
-        for i, (a, b) in enumerate(matching):  # a < b in every yielded edge
-            perm[a], perm[b] = 2 * i, 2 * i + 1
-        perms.append(perm)
-    return perms
-
-
-def _pop_multiset_state(sigma, multiset, perms):
-    """The placement-averaged probe state shared by every message whose
-    dense-coded symbols form ``multiset``, and the number of those messages.
-
-    Averaging over the assignments of pairs to matched edges is averaging
-    the canonical product (pair i on qubits 2i, 2i+1) over the distinct
-    orderings of the multiset; the matchings in ``perms`` do the rest.
-    """
-    orderings = sorted(set(itertools.permutations(multiset)))
-    dim = 4 ** len(multiset)
-    symmetric = np.zeros((dim, dim), dtype=complex)
-    for ordering in orderings:
-        canonical = np.eye(1, dtype=complex)
-        for bits in ordering:
-            canonical = np.kron(sigma[bits], canonical)
-        symmetric += canonical
-    symmetric /= len(orderings)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for perm in perms:
-        acc += _permute_qubits_raw(symmetric, perm)
-    return len(orderings), acc / len(perms)
-
-
-def _multiset_pop_information(theta, num_pairs):
-    """Reference for pop_eve_information up to N = 4: one ensemble state
-    per symbol multiset, weighted by its number of orderings, each averaged
-    over the perfect matchings."""
-    sigma = _pair_states(theta)
-    perms = _matching_perms(num_pairs)
-    ensemble = []
-    for multiset in itertools.combinations_with_replacement(sigma, num_pairs):
-        count, state = _pop_multiset_state(sigma, multiset, perms)
-        ensemble.append((count / 4**num_pairs, DensityMatrix(state)))
-    return holevo_information(ensemble) / num_pairs
-
-
 def _gram_pop_information(theta, num_pairs):
     """Reference for pop_eve_information with no spin sectors: each rho_k
     = sum_x p_x f_x f_x^T through its dense Gram matrix D^1/2 M^(x)2N D^1/2
@@ -579,15 +485,15 @@ def test_pair_probe_states_have_the_closed_form(bits):
         pairs = ((0, 0), (1, 1)) if bits[1] else ((0, 1), (1, 0))
         # the second probe (qubit 3) is the high kron factor
         closed = sum(np.kron(np.outer(f[b], f[b]), np.outer(f[a], f[a])) for a, b in pairs) / 2
-        np.testing.assert_allclose(_pair_probe_state(theta, bits), closed, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(pair_probe_state(theta, bits), closed, rtol=0.0, atol=1e-12)
 
 
 def test_pair_probe_states_symmetric_under_swap():
     for theta in BLOCK_ADVANTAGE_TABLE:
         for bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            sigma = _pair_probe_state(theta, bits)
+            sigma = pair_probe_state(theta, bits)
             np.testing.assert_allclose(
-                sigma, _permute_qubits_raw(sigma, [1, 0]), atol=1e-12
+                sigma, permute_qubits_raw(sigma, [1, 0]), atol=1e-12
             )
 
 
@@ -599,7 +505,7 @@ def test_stream_information_endpoints():
 def test_stream_information_closed_form_matches_pair_states():
     # Holevo quantity of the four equiprobable 2-probe states, exactly
     for theta in np.linspace(0.0, math.pi / 2, 8):
-        ensemble = [(0.25, DensityMatrix(s)) for s in _pair_states(theta).values()]
+        ensemble = [(0.25, DensityMatrix(s)) for s in pair_states(theta).values()]
         assert stream_eve_information(theta) == pytest.approx(
             holevo_information(ensemble), abs=1e-14
         )
@@ -639,7 +545,7 @@ def test_pop_information_guards():
 @pytest.mark.parametrize("num_pairs", [1, 2, 3])
 def test_pop_information_matches_exhaustive_placements(theta, num_pairs):
     assert pop_eve_information(theta, num_pairs) == pytest.approx(
-        _exhaustive_pop_information(theta, num_pairs), abs=1e-12
+        exhaustive_pop_information(theta, num_pairs), abs=1e-12
     )
 
 
@@ -651,17 +557,17 @@ def test_pop_information_matches_exhaustive_placements(theta, num_pairs):
 def test_pop_multiset_state_matches_exhaustive_placements_at_four_pairs(message):
     # the multiset oracle itself: one multiset state against the average
     # over all 105 matchings x 24 assignments of an unsorted message
-    sigma = _pair_states(0.3)
-    count, state = _pop_multiset_state(sigma, tuple(sorted(message)), _matching_perms(4))
+    sigma = pair_states(0.3)
+    count, state = pop_multiset_state(sigma, tuple(sorted(message)), matching_perms(4))
     assert count == len(set(itertools.permutations(message)))
     np.testing.assert_allclose(
-        state, _exhaustive_pop_state(sigma, message), rtol=0.0, atol=1e-12
+        state, exhaustive_pop_state(sigma, message), rtol=0.0, atol=1e-12
     )
 
 
 def test_pop_information_matches_multiset_oracle_at_four_pairs():
     assert pop_eve_information(0.3, 4) == pytest.approx(
-        _multiset_pop_information(0.3, 4), abs=1e-12
+        multiset_pop_information(0.3, 4), abs=1e-12
     )
 
 

@@ -14,7 +14,7 @@ from orthosim.config import AdversarySpec, NoiseSpec, ProtocolConfig, dump_confi
 from orthosim.protocols import RESULT_SCHEMA, run
 
 from conftest import assert_frequency
-from test_adversary import _exhaustive_pop_information, _multiset_pop_information
+from oracle import exhaustive_pop_information, multiset_pop_information
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -113,9 +113,9 @@ def test_block_advantage_matches_enumeration(tmp_path):
         theta = float(row["value"])
         oracle = {
             "stream": stream_eve_information,
-            "pop-2": lambda t: _exhaustive_pop_information(t, 2),
-            "pop-3": lambda t: _exhaustive_pop_information(t, 3),
-            "pop-4": lambda t: _multiset_pop_information(t, 4),
+            "pop-2": lambda t: exhaustive_pop_information(t, 2),
+            "pop-3": lambda t: exhaustive_pop_information(t, 3),
+            "pop-4": lambda t: multiset_pop_information(t, 4),
         }.get(row["variant"])
         if oracle is not None:
             assert float(row["info_ae"]) == pytest.approx(oracle(theta), abs=1e-12)

@@ -18,6 +18,7 @@ from orthosim.metrics import (
     mutual_information,
     probe_family_sweep,
 )
+from oracle import dense_sweep_point
 
 
 # ---------------------------------------------------------------- entropy
@@ -152,6 +153,17 @@ def test_sweep_matches_closed_forms():
         assert point.error_rate == pytest.approx(e_expected, abs=1e-12)
         assert point.info_ae == pytest.approx(binary_entropy(e_expected), abs=1e-12)
         assert point.info_ab == pytest.approx(1.0 - binary_entropy(e_expected), abs=1e-12)
+
+
+def test_sweep_matches_dense_state_vector_oracle():
+    # the closed forms against the probe interaction run on state vectors
+    thetas = np.linspace(0.0, math.pi / 2, 41)
+    for point, theta in zip(probe_family_sweep(thetas), thetas):
+        dense = dense_sweep_point(float(theta))
+        assert point.theta == dense.theta
+        assert point.error_rate == pytest.approx(dense.error_rate, abs=1e-12)
+        assert point.info_ab == pytest.approx(dense.info_ab, abs=1e-12)
+        assert point.info_ae == pytest.approx(dense.info_ae, abs=1e-12)
 
 
 def test_sweep_endpoints_and_monotonicity():

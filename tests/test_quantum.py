@@ -9,46 +9,45 @@ from hypothesis import strategies as st
 
 from orthosim import quantum
 from orthosim.quantum import (
-    BellOutcome,
-    DensityMatrix,
-    HADAMARD,
     MAX_QUBITS,
-    NoiseChannel,
     PAULI_I,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    BellOutcome,
+    DensityMatrix,
+    NoiseChannel,
     ProbeAttackSpec,
     QuantumRegistry,
     QuantumValidationError,
     ResourceLimitError,
+    holevo_information,
+    von_neumann_entropy,
+)
+from conftest import assert_frequency
+from oracle import (
+    HADAMARD,
+    ORACLE_BELL,
+    ORACLE_PAULIS,
+    ReferenceRegistry,
     StateVector,
+    apply_channel,
     apply_single_qubit_gate,
     basis_state,
     bell_measure,
     dense_encode,
     density,
-    holevo_information,
+    kraus_operators,
+    kron_op,
+    permute_qubits_raw,
     probe_interact,
+    probe_unitary,
     reduced_state,
     ry,
     singlet,
-    von_neumann_entropy,
 )
-from conftest import assert_frequency
-from oracle import ReferenceRegistry, apply_channel, kron_op
 
 S2 = 1.0 / math.sqrt(2)
-
-
-def _permute_qubits_raw(mat, perm):
-    """Relabel qubits of a density matrix: new qubit ``j`` is old qubit
-    ``perm[j]``."""
-    n = mat.shape[0].bit_length() - 1
-    assert sorted(perm) == list(range(n)), f"{perm!r} is not a permutation of 0..{n - 1}"
-    row_order = [n - 1 - perm[n - 1 - t] for t in range(n)]
-    order = row_order + [n + a for a in row_order]
-    return mat.reshape([2] * (2 * n)).transpose(order).reshape(mat.shape)
 
 
 def random_state(rng, n):
@@ -264,7 +263,7 @@ def test_partial_trace_product_state():
 def test_permute_qubits_on_basis_state():
     # |q1 q0> = |01> has qubit0=1; swapping labels moves the excitation
     dm = density(basis_state(2, 1))
-    swapped = _permute_qubits_raw(dm.matrix, [1, 0])
+    swapped = permute_qubits_raw(dm.matrix, [1, 0])
     np.testing.assert_allclose(swapped, density(basis_state(2, 2)).matrix)
 
 
@@ -319,13 +318,21 @@ def test_holevo_bounds(seed, count):
 
 def test_probe_spec_unitarity_and_limits():
     for theta in np.linspace(0.0, math.pi / 2, 9):
-        u = ProbeAttackSpec(float(theta)).unitary()
+        u = probe_unitary(float(theta))
         np.testing.assert_allclose(u.conj().T @ u, np.eye(4), atol=1e-10)
-    np.testing.assert_allclose(ProbeAttackSpec(0.0).unitary(), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(probe_unitary(0.0), np.eye(4), atol=1e-12)
     with pytest.raises(QuantumValidationError):
         ProbeAttackSpec(-0.1)
     with pytest.raises(QuantumValidationError):
         ProbeAttackSpec(2.0)
+
+
+def test_probe_spec_theta_range_boundary():
+    # the range check admits a rounding slack of 1e-12 above pi/2, no more
+    assert ProbeAttackSpec(math.pi / 2 + 1e-13).theta == math.pi / 2 + 1e-13
+    for theta in (-0.1, 2.0, math.pi / 2 + 1e-9):
+        with pytest.raises(QuantumValidationError, match="outside"):
+            ProbeAttackSpec(theta)
 
 
 def test_probe_interact_transparent_at_zero():
@@ -387,7 +394,7 @@ def test_probe_monotonicity_grid():
 
 def test_channel_kraus_completeness():
     for channel in (NoiseChannel("depolarizing", 0.3), NoiseChannel("bit-flip", 0.12)):
-        acc = sum(k.conj().T @ k for k in channel.kraus_operators())
+        acc = sum(k.conj().T @ k for k in kraus_operators(channel))
         np.testing.assert_allclose(acc, np.eye(2), atol=1e-12)
     with pytest.raises(QuantumValidationError):
         NoiseChannel("amplitude-damping", 0.1)
@@ -427,7 +434,7 @@ def test_trajectories_average_to_exact_channel():
     reg.apply_noise(pairs, 0, channel, rng)
     counts = np.bincount(reg.bell_measure(pairs, rng), minlength=4)
     for outcome in BellOutcome:
-        bell = _ORACLE_BELL[outcome]
+        bell = ORACLE_BELL[outcome]
         born = float((bell.conj() @ exact @ bell).real)
         assert_frequency(int(counts[outcome]), trials, born, 5.0)
 
@@ -563,19 +570,8 @@ def test_registry_noise_trajectory_frequencies():
         assert_frequency(int(counts[outcome]), trials, expected, 5.0)
 
 
-# Bell states over the little-endian index bit0 + 2*bit1, built here
-# independently of the engine's own table
-_ORACLE_BELL = {
-    BellOutcome.PHI_PLUS: np.array([S2, 0, 0, S2]),
-    BellOutcome.PHI_MINUS: np.array([S2, 0, 0, -S2]),
-    BellOutcome.PSI_PLUS: np.array([0, S2, S2, 0]),
-    BellOutcome.PSI_MINUS: np.array([0, S2, -S2, 0]),
-}
-_ORACLE_PAULIS = ((PAULI_I, 0, 0), (PAULI_X, 1, 0), (PAULI_Y, 1, 1), (PAULI_Z, 0, 1))
-
-
 def _pauli_exponents(op):
-    return next((x, z) for ref, x, z in _ORACLE_PAULIS if np.array_equal(ref, op))
+    return next((x, z) for ref, x, z in ORACLE_PAULIS if np.array_equal(ref, op))
 
 
 def _exact_bell_probabilities(code, theta, channel):
@@ -590,7 +586,7 @@ def _exact_bell_probabilities(code, theta, channel):
     blocks = rho.matrix.reshape(4, 4, 4, 4)  # (probes, halves, probes', halves')
     halves = np.einsum("pipj->ij", blocks)
     return np.array(
-        [float((_ORACLE_BELL[k].conj() @ halves @ _ORACLE_BELL[k]).real) for k in BellOutcome]
+        [float((ORACLE_BELL[k].conj() @ halves @ ORACLE_BELL[k]).real) for k in BellOutcome]
     )
 
 
