@@ -26,7 +26,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -64,25 +64,6 @@ __all__ = [
 
 EXPERIMENT_SCHEMA = "orthosim.experiment/v1"
 
-COLUMNS = (
-    "label",
-    "kind",
-    "variant",
-    "axis",
-    "value",
-    "trials",
-    "completed",
-    "error_rate",
-    "agreement",
-    "detection_rate",
-    "escape_analytic",
-    "escape_empirical",
-    "info_ab",
-    "info_ae",
-    "guess_analytic",
-    "guess_empirical",
-)
-
 logger = logging.getLogger("orthosim")
 
 
@@ -108,16 +89,12 @@ class ResultRow:
     guess_empirical: Optional[float] = None
 
     def cells(self) -> list[str]:
-        out = []
-        for name in COLUMNS:
-            v = getattr(self, name)
-            if v is None:
-                out.append("")
-            elif isinstance(v, float):
-                out.append(repr(v))
-            else:
-                out.append(str(v))
-        return out
+        values = (getattr(self, name) for name in COLUMNS)
+        return ["" if v is None else repr(v) if isinstance(v, float) else str(v) for v in values]
+
+
+# CSV columns: the ResultRow fields in order
+COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass(frozen=True)

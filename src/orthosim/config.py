@@ -10,6 +10,7 @@ communication protocol and its reductions.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import io
 import math
@@ -79,6 +80,7 @@ def max_message_length(block_size: int, threshold: float) -> int:
     return min(message_capacity(block_size, threshold), fit)
 
 
+@functools.lru_cache(maxsize=256)  # a pop run asks up to three times; errors are not cached
 def repetition_length(threshold: float, max_failure: float = _REPETITION_FAILURE_BOUND) -> int:
     """Smallest odd repetition length whose majority vote fails rarely.
 

@@ -14,7 +14,6 @@ noise), so a (config, seed) pair fixes the result bit-exactly.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -191,10 +190,6 @@ def _rng_streams(config: ProtocolConfig, seed: int):
     return main, eve, noise
 
 
-# one frozen spec per probe angle, so its unitarity check runs once per angle
-_probe_spec = functools.lru_cache(maxsize=1024, typed=True)(ProbeAttackSpec)
-
-
 def _build_hook(config: ProtocolConfig, rng_eve: np.random.Generator) -> Optional[EveHook]:
     spec = config.adversary
     if spec is None:
@@ -203,7 +198,7 @@ def _build_hook(config: ProtocolConfig, rng_eve: np.random.Generator) -> Optiona
         return GltInterceptResend(rng_eve, spec.attack_fraction)
     if spec.kind == "quantum-intercept-resend":
         return QuantumInterceptResend(spec.basis, rng_eve, spec.attack_fraction)
-    return ProbeAttack(_probe_spec(spec.theta), rng_eve)
+    return ProbeAttack(ProbeAttackSpec(spec.theta), rng_eve)
 
 
 def _build_channel(config: ProtocolConfig, hook, rng_noise) -> Channel:
@@ -426,7 +421,7 @@ def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunRes
     pairs = registry.allocate(rounds)
     alice_bits = rng.integers(0, 2, size=(rounds, 2))
     _dense_encode(registry, pairs, alice_bits)
-    stream = ParticleBlock(registry, np.repeat(pairs, 2), np.tile([0, 1], rounds))
+    stream = ParticleBlock(registry, *np.divmod(np.arange(2 * rounds), 2))
     channel.send_block(stream, None, stream=True)
     bob_bits = _BELL_BITS[registry.bell_measure(pairs, rng)]
 
@@ -499,22 +494,21 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
     message = config.message_bits
     code_len = repetition_length(config.threshold)
 
-    pairs = registry.allocate(total)
+    registry.allocate(total)
     check_pairs = np.sort(rng.choice(total, size=n_pairs, replace=False))
     is_check = np.zeros(total, dtype=bool)
     is_check[check_pairs] = True
     retained = np.flatnonzero(~is_check)
 
-    # canonical block-1 layout: both halves of check pairs, far half otherwise
-    origin_pairs = np.repeat(pairs, 1 + is_check)
-    first_of_pair = np.diff(origin_pairs, prepend=-1) != 0
-    origin_halves = np.where(first_of_pair & is_check[origin_pairs], 0, 1)
-    block1 = ParticleBlock(registry, origin_pairs, origin_halves)
+    # canonical block-1 layout, in slot order: both halves of check pairs, far half otherwise
+    sent = np.ones((total, 2), dtype=bool)
+    sent[:, 0] = is_check
+    block1 = ParticleBlock(registry, *np.divmod(np.flatnonzero(sent), 2))
     scramble = rng.permutation(len(block1))
     channel.send_block(block1, scramble, sender="alice")
     # block-1 delivery position of each (pair, half) sent in it, else -1
     position = np.full((total, 2), -1, dtype=np.intp)
-    position[origin_pairs[scramble], origin_halves[scramble]] = np.arange(len(block1))
+    position[block1.pairs[scramble], block1.qubits[scramble]] = np.arange(len(block1))
 
     # (c) first check: reveal check-pair positions, Bell-check a fraction
     num_compared = round(config.check_fraction * n_pairs)

@@ -27,6 +27,10 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+# Pauli index 2x + z of each Pauli, applied as X^x Z^z; Y is XZ up to the
+# global phase i, which no measurement sees
+_PAULI_INDEX = ((PAULI_I, 0), (PAULI_X, 2), (PAULI_Y, 3), (PAULI_Z, 1))
+
 
 class QuantumError(ValueError):
     """Base error for the qubit engine."""
@@ -56,6 +60,8 @@ class NoiseChannel:
 
     kind: str
     probability: float
+    _cumulative: np.ndarray = field(init=False, repr=False, compare=False)
+    _codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("depolarizing", "bit-flip"):
@@ -64,6 +70,11 @@ class NoiseChannel:
             raise QuantumValidationError(
                 f"channel probability {self.probability!r} outside [0, 1]"
             )
+        mixture = self.pauli_mixture()
+        # a draw past the last cumulative weight (rounding) gets the trailing identity
+        codes = [next(i for op, i in _PAULI_INDEX if op is m) for _, m in mixture]
+        object.__setattr__(self, "_cumulative", np.cumsum([w for w, _ in mixture]))
+        object.__setattr__(self, "_codes", np.array(codes + [0]))
 
     def pauli_mixture(self) -> list[tuple[float, np.ndarray]]:
         """The channel as a random-Pauli process (used for trajectories)."""
@@ -76,6 +87,11 @@ class NoiseChannel:
             (0.25 * p, PAULI_Y),
             (0.25 * p, PAULI_Z),
         ]
+
+    def sample_codes(self, count: int, rng) -> np.ndarray:
+        """One trajectory per use: the code 2x + z of X^x Z^z drawn with
+        the mixture weights, one uniform per use."""
+        return self._codes[np.searchsorted(self._cumulative, rng.random(count), side="right")]
 
 
 # --------------------------------------------------------------- probe family
@@ -101,11 +117,6 @@ class ProbeAttackSpec:
 
 
 # --------------------------------------------------------------- pair engine
-
-
-# Pauli index 2x + z of each Pauli, applied as X^x Z^z; Y is XZ up to the
-# global phase i, which no measurement sees
-_PAULI_INDEX = ((PAULI_I, 0), (PAULI_X, 2), (PAULI_Y, 3), (PAULI_Z, 1))
 
 
 def _pack(bases: list[int], values: list[int]) -> int:
@@ -157,6 +168,16 @@ def _pair_tables() -> tuple[np.ndarray, ...]:
 _PAULI, _P0, _AFTER, _BELL_CUMULATIVE = _pair_tables()
 
 
+def _halves(slots: np.ndarray) -> list[tuple[int, np.ndarray | slice, np.ndarray]]:
+    """Validated slots by half, half 0 first: (half, call positions, pairs)."""
+    odd = slots & 1
+    ones = odd.nonzero()[0]
+    if ones.size in (0, slots.size):
+        return [(int(ones.size > 0), slice(None), slots >> 1)] if slots.size else []
+    zeros = (odd ^ 1).nonzero()[0]
+    return [(0, zeros, slots[zeros] >> 1), (1, ones, slots[ones] >> 1)]
+
+
 class QuantumRegistry:
     """Batched pair engine: every pair of a run as one int8 state code.
 
@@ -169,7 +190,8 @@ class QuantumRegistry:
     lookups in tables built at import; probes are traced out as they attach.
 
     Operations take index arrays, ``pairs`` and the halves hit in each
-    (a scalar broadcasts); a (pair, half) may appear once per call.
+    (a scalar covers the call); a (pair, half) may appear once per call.
+    Each call checks its particles once, as slots 2 pair + half.
     """
 
     def __init__(self) -> None:
@@ -187,67 +209,56 @@ class QuantumRegistry:
         self._code = np.concatenate([self._code, np.zeros(count, dtype=np.int8)])
         return np.arange(first, first + count)
 
-    def _pairs(self, pairs) -> np.ndarray:
-        """Validated pair indices, each at most once."""
+    def slots(self, pairs, qubits) -> np.ndarray:
+        """Slot 2 pair + half of each listed particle, validated in one
+        pass: halves by a bitwise test, pairs by an unsigned range test,
+        duplicates by one bincount."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= self.num_pairs):
-            raise QuantumValidationError(f"pair index outside [0, {self.num_pairs})")
-        if np.bincount(pairs, minlength=1).max() > 1:
-            raise QuantumValidationError("a particle appears twice in one call")
-        return pairs
-
-    def _groups(self, pairs, qubits) -> list[tuple[int, np.ndarray | slice, np.ndarray]]:
-        """Split a call's particles by half, half 0 first: (half,
-        positions in the call, pair indices), all validated in one pass.
-        A scalar ``qubits`` makes one group covering the whole call."""
-        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
-        qubits = np.asarray(qubits, dtype=np.intp)
-        if qubits.ndim:
-            qubits = np.broadcast_to(qubits, pairs.shape)
-        if not pairs.size:
-            return []
-        if qubits.min() < 0 or qubits.max() > 1:
+        if isinstance(qubits, (int, np.integer)):  # one half for the whole call
+            halves_ok = qubits in (0, 1)
+        else:
+            qubits = np.asarray(qubits, dtype=np.intp)
+            if qubits.shape not in ((), pairs.shape):
+                raise QuantumValidationError(f"{qubits.size} halves for {pairs.size} pairs")
+            halves_ok = not np.count_nonzero(qubits & -2)
+        if not halves_ok:
             raise QuantumValidationError("a pair holds qubits 0 and 1 only")
-        if pairs.min() < 0 or pairs.max() >= self.num_pairs:
+        if pairs.size and pairs.view(np.uintp).max() >= self._code.size:
             raise QuantumValidationError(f"pair index outside [0, {self.num_pairs})")
-        if np.bincount(2 * pairs + qubits).max() > 1:
+        slots = pairs + pairs + qubits
+        if slots.size and np.count_nonzero(np.bincount(slots)) < slots.size:
             raise QuantumValidationError("a particle appears twice in one call")
-        if not qubits.ndim:
-            return [(int(qubits), slice(None), pairs)]
-        groups = []
-        for half in (0, 1):
-            where = np.flatnonzero(qubits == half)
-            if where.size:
-                groups.append((half, where, pairs[where]))
-        return groups
+        return slots
+
+    def _apply(self, slots: np.ndarray, xz) -> None:
+        """X^x Z^z on validated slots, xz = 2x + z per particle or shared."""
+        shared = not isinstance(xz, np.ndarray)
+        for half, where, group in _halves(slots):
+            self._code[group] = _PAULI[half, xz if shared else xz[where], self._code[group]]
 
     def apply_pauli(self, pairs, qubits, x, z) -> None:
         """Apply X^x Z^z to each listed half, with 0/1 exponents per
-        particle.  Dense coding of the bits (b0, b1) is (x, z) = (b1, b0)
-        on a pair's half 0."""
-        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
-        x, z = np.broadcast_arrays(x, z, pairs)[:2]
-        if ((x | z) & ~1).any():
+        particle (a scalar covers the call).  Dense coding of the bits
+        (b0, b1) is (x, z) = (b1, b0) on a pair's half 0."""
+        slots = self.slots(pairs, qubits)
+        x, z = np.asarray(x), np.asarray(z)
+        if np.count_nonzero((x | z) & -2):
             raise QuantumValidationError(
                 f"Pauli exponents must be 0 or 1, got x in {np.unique(x).tolist()}"
                 f" and z in {np.unique(z).tolist()}"
             )
         xz = 2 * x + z
-        for half, where, group in self._groups(pairs, qubits):
-            self._code[group] = _PAULI[half, xz[where], self._code[group]]
+        if xz.ndim and xz.shape != slots.shape:
+            raise QuantumValidationError(f"{xz.size} exponents for {slots.size} particles")
+        self._apply(slots, xz)
 
     def apply_noise(self, pairs, qubits, channel: NoiseChannel, rng) -> None:
         """One stochastic trajectory of the channel on each listed qubit:
         a random Pauli drawn with the channel's mixture weights."""
-        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
-        qubits = np.broadcast_to(np.asarray(qubits, dtype=np.intp), pairs.shape)
-        mixture = channel.pauli_mixture()
-        # past the last cumulative weight (rounding) draws the identity
-        paulis = np.array([next(i for op, i in _PAULI_INDEX if op is m) for _, m in mixture] + [0])
-        cumulative = np.cumsum([w for w, _ in mixture])
-        xz = paulis[np.searchsorted(cumulative, rng.random(pairs.size), side="right")]
+        slots = self.slots(pairs, qubits)
+        xz = channel.sample_codes(slots.size, rng)
         hit = np.flatnonzero(xz)
-        self.apply_pauli(pairs[hit], qubits[hit], xz[hit] >> 1, xz[hit] & 1)
+        self._apply(slots[hit], xz[hit])
 
     def measure(self, pairs, qubits, bases, rng) -> np.ndarray:
         """Projective measurement of each listed qubit in its basis, "Z"
@@ -255,17 +266,18 @@ class QuantumRegistry:
         and leaves each qubit in the observed eigenstate.  Outcome 1 is
         ``draw >= p0``, one uniform per particle; half 0 collapses first.
         """
-        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
-        bases = np.broadcast_to(np.asarray(bases), pairs.shape)
-        if not np.isin(bases, ("Z", "X")).all():
+        slots = self.slots(pairs, qubits)
+        bases = np.asarray(bases)
+        is_x = bases == "X"
+        if not (is_x | (bases == "Z")).all():
             raise QuantumValidationError(f"bases must be 'Z' or 'X', got {np.unique(bases)}")
-        draws = rng.random(pairs.size)
-        outcomes = np.empty(pairs.size, dtype=np.int8)
-        for half, where, group in self._groups(pairs, qubits):
-            basis = (bases[where] == "X").view(np.int8)
-            code = self._code[group]
-            seen = (draws[where] >= _P0[half, basis, code]).view(np.int8)
-            self._code[group] = _AFTER[half, basis, seen, code]
+        basis = np.zeros(slots.size, dtype=np.int8) + is_x  # a scalar basis covers the call
+        draws = rng.random(slots.size)
+        outcomes = np.empty(slots.size, dtype=np.int8)
+        for half, where, group in _halves(slots):
+            b, code = basis[where], self._code[group]
+            seen = (draws[where] >= _P0[half, b, code]).view(np.int8)
+            self._code[group] = _AFTER[half, b, seen, code]
             outcomes[where] = seen
         return outcomes
 
@@ -273,8 +285,9 @@ class QuantumRegistry:
         """Entangle a fresh ``|0>`` probe with each listed half and trace
         it out: the half takes a Z flip with probability (1 - cos theta)/2,
         one uniform per particle from ``rng``."""
-        flip = rng.random(np.size(pairs)) < (1.0 - math.cos(spec.theta)) / 2.0
-        self.apply_pauli(pairs, qubits, x=0, z=flip)
+        slots = self.slots(pairs, qubits)
+        flip = rng.random(slots.size) < (1.0 - math.cos(spec.theta)) / 2.0
+        self._apply(slots[flip], 1)
 
     def bell_measure(self, pairs, rng) -> np.ndarray:
         """Bell-basis measurement of each listed pair's two halves;
@@ -285,9 +298,9 @@ class QuantumRegistry:
         product in a shared basis fixes one frame bit, and the rest is
         uniform.
         """
-        pairs = self._pairs(pairs)
+        pairs = self.slots(pairs, 0) >> 1
         cumulative = _BELL_CUMULATIVE.take(self._code[pairs], axis=1)
-        outcomes = (rng.random(pairs.size) >= cumulative).sum(axis=0)
+        outcomes = np.add.reduce(rng.random(pairs.size) >= cumulative, axis=0)
         self._code[pairs] = 3 - outcomes  # BellOutcome k is frame 3 - k
         return outcomes
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .gpt import GbitBlock
-from .quantum import NoiseChannel, QuantumRegistry
+from .quantum import NoiseChannel, QuantumRegistry, QuantumValidationError
 
 __all__ = [
     "Channel",
@@ -91,26 +91,35 @@ class Permutation:
 class ParticleBlock:
     """Quantum particles in transit, as index arrays into a pair engine.
 
-    Particle ``i`` is half ``qubits[i]`` (0 or 1) of pair ``pairs[i]`` in
-    ``registry``.
+    Particle ``i`` is half ``qubits[i]`` (0 or 1) of pair ``pairs[i]``
+    in ``registry``; a scalar ``qubits`` is the half of every particle.
+    The block is checked once, when built: every pair in the registry,
+    every half 0 or 1, no particle twice.
     """
 
     registry: QuantumRegistry
     pairs: np.ndarray
-    qubits: np.ndarray
+    qubits: np.ndarray | int
 
     def __post_init__(self) -> None:
-        pairs = np.asarray(self.pairs, dtype=np.intp).reshape(-1)
-        qubits = np.broadcast_to(np.asarray(self.qubits, dtype=np.intp), pairs.shape)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "qubits", qubits)
+        try:
+            self.registry.slots(self.pairs, self.qubits)
+        except QuantumValidationError as err:
+            raise TransportError(f"bad particle block: {err}") from None
+        qubits = np.asarray(self.qubits, dtype=np.intp)
+        object.__setattr__(self, "pairs", np.asarray(self.pairs, dtype=np.intp).reshape(-1))
+        object.__setattr__(self, "qubits", qubits if qubits.ndim else int(qubits))
 
     def __len__(self) -> int:
         return self.pairs.size
 
     def take(self, index) -> "ParticleBlock":
-        """The particles at ``index`` (gather semantics, or a mask)."""
-        return ParticleBlock(self.registry, self.pairs[index], self.qubits[index])
+        """The particles at ``index`` (gather semantics, or a mask), not
+        checked again: ``index`` must not repeat a position."""
+        part = object.__new__(ParticleBlock)
+        qubits = self.qubits[index] if isinstance(self.qubits, np.ndarray) else self.qubits
+        part.__dict__.update(registry=self.registry, pairs=self.pairs[index], qubits=qubits)
+        return part
 
 
 # transcript label of each carrier kind, stable across engine designs
@@ -271,6 +280,20 @@ def _template(record: TranscriptRecord) -> tuple:
 # ---------------------------------------------------------------- channel
 
 
+def _gather_index(perm, size: int) -> np.ndarray:
+    """perm as a gather index, checked in O(size) to be a bijection on
+    range(size): integer entries, each in range and none twice."""
+    index = np.asarray(perm)
+    if index.shape != (size,) or (size and index.dtype.kind not in "iu"):
+        raise TransportError(f"perm of {index.dtype} shape {index.shape} cannot order {size} carriers")
+    index = index.astype(np.intp, copy=False)
+    if size and index.view(np.uintp).max() >= size:
+        raise TransportError(f"perm has an entry outside [0, {size})")
+    if size and np.count_nonzero(np.bincount(index)) < size:
+        raise TransportError("perm has an entry twice")
+    return index
+
+
 class Channel:
     """One run's transport fabric: carrier sends, broadcasts, logging.
 
@@ -302,8 +325,8 @@ class Channel:
     ) -> GbitBlock | ParticleBlock:
         """Deliver a block of carriers in permuted order through Eve and noise.
 
-        The block travels whole: perm is a gather index array or None
-        (order kept), and Eve and the noise each act once on the block.
+        The block travels whole: perm is an integer gather index array or
+        None (order kept), and Eve and the noise each act once on the block.
         stream=True logs one record per carrier, as a stream of
         one-carrier sends, instead of one for the block; the transcript
         stores them as one run.
@@ -313,20 +336,7 @@ class Channel:
             raise TransportError("quantum channel noise cannot act on gbit carriers")
         block = carriers
         if perm is not None:
-            index = np.asarray(perm, dtype=np.intp)
-            if index.shape != (len(block),) or not np.array_equal(
-                np.sort(index), np.arange(len(block))
-            ):
-                raise TransportError(
-                    f"perm is not a permutation of the {len(block)}-carrier block"
-                )
-            block = block.take(index)
-        if (
-            isinstance(block, ParticleBlock)
-            and len(block)
-            and np.bincount(block.pairs * 4 + block.qubits).max() > 1
-        ):
-            raise TransportError("a particle appears twice in one block")
+            block = block.take(_gather_index(perm, len(block)))
         if self.eve_hook is not None:
             block = self.eve_hook.intercept(block)
         if self.noise is not None:

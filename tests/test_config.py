@@ -104,6 +104,19 @@ def test_repetition_length_domain_errors():
         repetition_length(0.45)
 
 
+def test_repetition_length_cache_keeps_raising_and_answers_once():
+    # lru_cache stores results, never exceptions: a rejected threshold
+    # raises on every call, and a valid one is computed once
+    repetition_length.cache_clear()
+    for _ in range(3):
+        for bad in (0.5, 0.45):
+            with pytest.raises(ConfigValidationError):
+                repetition_length(bad)
+    assert [repetition_length(0.05) for _ in range(3)] == [7, 7, 7]
+    info = repetition_length.cache_info()
+    assert (info.hits, info.currsize) == (2, 1)
+
+
 # ---------------------------------------------------------------- spec diagnostics
 
 

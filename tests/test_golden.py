@@ -58,6 +58,22 @@ CONFIGS = {
         kind="pop-qsdc", block_size=2, threshold=0.01, message_bits=(1,),
         adversary=AdversarySpec("probe", theta=0.3),
     ),
+    # measurement inside a permuted block: product codes 4-19 in the engine
+    "pop-intercepted": ProtocolConfig(
+        kind="pop-qsdc", block_size=40, threshold=0.3, message_bits=(1,),
+        adversary=AdversarySpec("quantum-intercept-resend", attack_fraction=0.3),
+    ),
+    # probes and noise on both blocks; seed 2 aborts on the second check
+    "pop-probed-noisy": ProtocolConfig(
+        kind="pop-qsdc", block_size=32, threshold=0.1, message_bits=(1, 0, 1),
+        adversary=AdversarySpec("probe", theta=0.4),
+        noise=NoiseSpec("depolarizing", 0.05),
+    ),
+    "stream-1000": ProtocolConfig(
+        kind="stream-qkd", block_size=1000, threshold=0.11, check_fraction=0.5,
+        adversary=AdversarySpec("probe", theta=0.4),
+        noise=NoiseSpec("depolarizing", 0.01),
+    ),
 }
 SEEDS = (1, 2)
 
@@ -72,12 +88,18 @@ GOLDEN = {
     ('glt2s-partial', 2): '4ab20ac44be867e9f987a40c0191c19b431fa84fea50e65d9c7fcd3eb37f8555',
     ('pop-clean', 1): 'ec4209f994db799371a1464a64f7b34c6e4d637a43b0dac79c5b524bf2ef87f3',
     ('pop-clean', 2): 'ec4209f994db799371a1464a64f7b34c6e4d637a43b0dac79c5b524bf2ef87f3',
+    ('pop-intercepted', 1): '584e6033ac6ba923eca26b3b7cb10d4c704826d8d135d404cd849b9becf2b331',
+    ('pop-intercepted', 2): '39d6a3096c523859c64dc42b0d5d090e725f37c7d6ab60e1fa717e91a559fb58',
     ('pop-noisy', 1): 'a1be7741d69a50a2bdf165ea0bd41e2cb2cf1302a669bb69d4d03b048a317190',
     ('pop-noisy', 2): 'bbee07e1fac11ed2ac573f2d34965eb88b4dcb69c82691f83da51c5a2591fb1b',
     ('pop-probed', 1): '60aa7a1559c118079501f85fcfa240929d3d5c8c7380f1476efd0c71fd7fc3b3',
     ('pop-probed', 2): '492c27a1a4d982627cb43d9fdd36895bfe8b9e1704d7d784809fb56451419669',
     ('pop-probed-exact', 1): '168abb5ded3a11b6525fd5fcde50fd580e33248aa6541555bf73699988dd5f9c',
     ('pop-probed-exact', 2): '168abb5ded3a11b6525fd5fcde50fd580e33248aa6541555bf73699988dd5f9c',
+    ('pop-probed-noisy', 1): 'f2d7c148ca47ac38f165e0e63e7d2a6fc9e78b336cac0676839d2369cda51cc1',
+    ('pop-probed-noisy', 2): '45f6b44245fe966393d0d99703a65fa27eb4d582d6964f63ae403cf1ee7da097',
+    ('stream-1000', 1): 'bb40da98b6af5aa9ec03c12219e20661a6aba7453d6ee72bac3ad146eed43f37',
+    ('stream-1000', 2): '5949186f20ebb7b1ab4291cf69358ce5bf6f2adf74bcf1f54c5e5cac39747806',
     ('stream-clean', 1): 'abadb0b27c871d0ac75c48f852123d7e03eb57e74c9d48de247f706fdfaa742c',
     ('stream-clean', 2): '9f5a35339d5c861fecdce1ddac4aedc327f488711a3792cd6a0791d9159d8c7a',
     ('stream-intercepted', 1): 'f63487b4a9470ee04ecd0b1f0aafc118f8131617a06bd086c539655e9607008f',

@@ -498,6 +498,60 @@ def test_registry_unknown_particle():
     assert reg.bell_measure([0], np.random.default_rng(0)).tolist() == [BellOutcome.PSI_MINUS]
 
 
+def _slot_aliasing_ops(reg, rng):
+    """Each per-half registry operation as f(pairs, qubits)."""
+    return {
+        "apply_pauli": lambda p, q: reg.apply_pauli(p, q, x=1, z=1),
+        "apply_noise": lambda p, q: reg.apply_noise(p, q, NoiseChannel("bit-flip", 0.0), rng),
+        "attach_probe": lambda p, q: reg.attach_probe(p, q, ProbeAttackSpec(math.pi / 2), rng),
+        "measure": lambda p, q: reg.measure(p, q, "X", rng),
+    }
+
+
+@pytest.mark.parametrize("op", ["apply_pauli", "apply_noise", "attach_probe", "measure"])
+def test_registry_halves_never_alias_a_neighbour(op):
+    # on two pairs, qubit 2 of pair 0 would be slot 2 (pair 1, half 0) and
+    # qubit -1 of pair 1 slot 1 (pair 0, half 1): the qubit check comes first
+    rng = np.random.default_rng(41)
+    reg = QuantumRegistry()
+    reg.allocate(2)
+    call = _slot_aliasing_ops(reg, rng)[op]
+    for pairs, qubits in (([0], [2]), ([1], [-1]), ([0], 2), ([1], -1), ([0, 1], [0, 2])):
+        with pytest.raises(QuantumValidationError, match="qubits 0 and 1 only"):
+            call(pairs, qubits)
+    for pairs in ([-1], [0, -1], [2]):
+        with pytest.raises(QuantumValidationError, match="outside"):
+            call(pairs, [1] * len(pairs))
+    with pytest.raises(QuantumValidationError, match="halves for"):
+        call([0, 1], [0, 1, 0])
+    # no rejected call touched either pair
+    assert reg.bell_measure([0, 1], rng).tolist() == [BellOutcome.PSI_MINUS] * 2
+
+
+def test_noise_checks_every_particle_even_when_nothing_is_hit():
+    reg = QuantumRegistry()
+    reg.allocate(2)
+    clean = NoiseChannel("depolarizing", 0.0)
+    with pytest.raises(QuantumValidationError, match="appears twice"):
+        reg.apply_noise([1, 0, 1], [0, 1, 0], clean, np.random.default_rng(0))
+
+
+def test_noise_channel_tables_stay_out_of_equality_and_repr():
+    a, b = NoiseChannel("depolarizing", 0.25), NoiseChannel("depolarizing", 0.25)
+    assert a == b and hash(a) == hash(b) and a != NoiseChannel("bit-flip", 0.25)
+    assert repr(a) == "NoiseChannel(kind='depolarizing', probability=0.25)"
+    # each draw lands on the Pauli of its cumulative mixture interval
+    draws = np.array([0.0, 0.8124, 0.8126, 0.8749, 0.8751, 0.9374, 0.9376, 1.0])
+    codes = [0, 0, 2, 2, 3, 3, 1, 0]
+
+    class Fixed:
+        def random(self, count):
+            assert count == draws.size
+            return draws
+
+    assert a.sample_codes(draws.size, Fixed()).tolist() == codes
+
+
 @pytest.mark.parametrize(
     "x, z, named", [(2, 0, "x in [2]"), (0, 3, "z in [3]"), (-1, 0, "x in [-1]"), (1, -2, "z in [-2]")]
 )

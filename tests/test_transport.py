@@ -116,6 +116,60 @@ def test_duplicate_particles_in_one_block_rejected():
     Channel().send_block(ParticleBlock(reg, [0, 0], [0, 1]), np.arange(2))
 
 
+@pytest.mark.parametrize(
+    "pairs, qubits, named",
+    [
+        ([0, 5], [7, 0], "qubits 0 and 1 only"),
+        ([0, 5], [1, 0], "outside"),
+        ([0, 9], [3, 1], "qubits 0 and 1 only"),
+        ([0, 9], [0, 1], "outside"),
+        ([-1, 0], [1, 0], "outside"),
+        ([0, 1], [4, 0], "qubits 0 and 1 only"),  # not pair 1's half 0 twice
+        ([1, 0, 1], [0, 1, 0], "appears twice"),
+        ([0, 1], [0, 1, 1], "halves for"),
+        ([0, 1], 2, "qubits 0 and 1 only"),  # a scalar half for the whole block
+    ],
+)
+def test_particle_block_rejects_particles_not_in_the_registry(pairs, qubits, named):
+    reg = QuantumRegistry()
+    reg.allocate(2)
+    with pytest.raises(TransportError, match=named):
+        ParticleBlock(reg, pairs, qubits)
+
+
+@pytest.mark.parametrize(
+    "perm, named",
+    [
+        (np.array([0.5, 1.0]), "float64"),  # truncation would make it the identity
+        (np.array([0.0, 1.0]), "float64"),
+        (np.array([True, False]), "bool"),
+        (np.array([-1, 0]), "outside"),
+        (np.array([0, 2]), "outside"),
+        (np.array([2**63, 0], dtype=np.uint64), "outside"),
+        (np.array([1, 1]), "twice"),
+        (np.arange(3), "shape"),
+    ],
+)
+def test_send_block_rejects_anything_but_an_integer_bijection(perm, named):
+    reg = QuantumRegistry()
+    reg.allocate(2)
+    block = ParticleBlock(reg, [0, 1], [0, 1])
+    for carriers in (block, tagged_gbits(2)):
+        with pytest.raises(TransportError, match=named):
+            Channel(eve_hook=EveHook()).send_block(carriers, perm)
+
+
+def test_send_block_accepts_any_integer_permutation_dtype():
+    reg = QuantumRegistry()
+    reg.allocate(2)
+    block = ParticleBlock(reg, [0, 0, 1], [0, 1, 1])
+    for perm in ([2, 0, 1], np.array([2, 0, 1], dtype=np.int32), np.array([2, 0, 1], dtype=np.uint8)):
+        delivered = Channel().send_block(block, perm)
+        assert delivered.pairs.tolist() == [1, 0, 0]
+        assert delivered.qubits.tolist() == [1, 0, 1]
+    assert len(Channel().send_block(tagged_gbits(0), [])) == 0
+
+
 def test_particle_block_travels_whole_in_transit_order():
     reg = QuantumRegistry()
     reg.allocate(2)
