@@ -171,14 +171,12 @@ class GltInterceptResend(EveHook):
     strategy = "glt-intercept-resend"
 
     def __init__(self, rng: np.random.Generator, attack_fraction: float = 1.0) -> None:
-        super().__init__()
         self.rng = rng
         self.attack_fraction = _validate_fraction(attack_fraction)
         self.observations: list[tuple[np.ndarray, np.ndarray]] = []
         self.rounds_attacked = 0
 
     def intercept(self, carrier):
-        super().intercept(carrier)
         if not isinstance(carrier, GbitBlock):
             raise AdversaryError("fiducial intercept-resend needs a gbit block")
         attacked = np.arange(len(carrier))
@@ -205,7 +203,6 @@ class QuantumInterceptResend(EveHook):
     def __init__(
         self, basis: str, rng: np.random.Generator, attack_fraction: float = 1.0
     ) -> None:
-        super().__init__()
         if basis not in ("Z", "X", "random"):
             raise AdversaryError(f"basis must be Z, X, or random, got {basis!r}")
         self.basis = basis
@@ -215,7 +212,6 @@ class QuantumInterceptResend(EveHook):
         self.rounds_attacked = 0
 
     def intercept(self, carrier):
-        super().intercept(carrier)
         if not isinstance(carrier, ParticleBlock):
             raise AdversaryError("projective intercept-resend needs a particle block")
         block = carrier
@@ -243,13 +239,11 @@ class ProbeAttack(EveHook):
     strategy = "probe"
 
     def __init__(self, spec: ProbeAttackSpec, rng: np.random.Generator) -> None:
-        super().__init__()
         self.spec = spec
         self.rng = rng
         self.rounds_attacked = 0
 
     def intercept(self, carrier):
-        super().intercept(carrier)
         if not isinstance(carrier, ParticleBlock):
             raise AdversaryError("probe attack needs a particle block")
         carrier.registry.attach_probe(carrier.pairs, carrier.qubits, self.spec, self.rng)

@@ -313,17 +313,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        config = load_config(args.config)
-    except ConfigValidationError as err:
-        for d in err.diagnostics:
-            print(f"diagnostic: {d}", file=sys.stderr)
-        return 1
-    diagnostics = config.validate()
-    if diagnostics:
-        for d in diagnostics:
-            print(f"diagnostic: {d}", file=sys.stderr)
-        return 1
+    load_config(args.config).ensure_valid()  # main reports every diagnostic
     print("ok")
     return 0
 
@@ -365,7 +355,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     print(f"tampered_records = {tampered}")
     print(f"detection_events = {sum(bool(e) for e in doc['detection_events'])}")
     if info_ae is not None:
-        if doc["security_class"] == "QSDC" and verdict_doc and verdict_doc.get("block_size"):
+        # the run scored a block-size verdict by the QSDC condition, key-reduced or not
+        if verdict_doc is not None and verdict_doc.get("block_size") is not None:
             verdict = check_qsdc_condition(
                 error_rate, threshold, info_ab, info_ae, verdict_doc["block_size"]
             )

@@ -12,10 +12,9 @@ from __future__ import annotations
 import configparser
 import functools
 import hashlib
-import io
 import math
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from .gpt import FiducialSpec
 from .metrics import binary_entropy
@@ -184,6 +183,8 @@ class ProtocolConfig:
     noise: Optional[NoiseSpec] = None
     derived_from: Optional[str] = None
 
+    schema = CONFIG_SCHEMA  # the INI layout version, not a field
+
     def __post_init__(self) -> None:
         if self.message_bits is not None:
             object.__setattr__(self, "message_bits", tuple(map(int, self.message_bits)))
@@ -297,85 +298,107 @@ def protocol_class(config: ProtocolConfig) -> str:
 # ---------------------------------------------------------------- persistence
 
 
-def _flat_items(config: ProtocolConfig) -> list[tuple[str, str]]:
-    items: list[tuple[str, str]] = [("schema", CONFIG_SCHEMA)]
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        if isinstance(value, FiducialSpec):
-            items.append(("fiducial.num_fiducials", str(value.num_fiducials)))
-            items.append(("fiducial.num_outcomes", str(value.num_outcomes)))
-        elif isinstance(value, AdversarySpec):
-            for sub in fields(value):
-                items.append((f"adversary.{sub.name}", str(getattr(value, sub.name))))
-        elif isinstance(value, NoiseSpec):
-            for sub in fields(value):
-                items.append((f"noise.{sub.name}", str(getattr(value, sub.name))))
-        elif isinstance(value, tuple):
-            items.append((f.name, "".join(map(str, value))))
-        else:
-            items.append((f.name, str(value)))
-    return items
-
-
-def config_digest(config: ProtocolConfig) -> str:
-    """Stable content hash of a config, independent of field order."""
-    canonical = "\n".join(f"{k}={v}" for k, v in sorted(_flat_items(config)))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def dump_config(config: ProtocolConfig, path: Optional[str] = None) -> str:
-    """Serialize to INI text; optionally write it to path."""
-    parser = configparser.ConfigParser()
-    parser["protocol"] = {"schema": CONFIG_SCHEMA, "kind": config.kind, "seed": str(config.seed)}
-    parser["protocol"]["check_fraction"] = repr(config.check_fraction)
-    parser["protocol"]["threshold"] = repr(config.threshold)
-    parser["protocol"]["payload_role"] = config.payload_role
-    if config.block_size is not None:
-        parser["protocol"]["block_size"] = str(config.block_size)
-    if config.message_bits is not None:
-        parser["protocol"]["message"] = "".join(map(str, config.message_bits))
-    if config.derived_from is not None:
-        parser["protocol"]["derived_from"] = config.derived_from
-    if config.fiducial is not None or config.num_gbits is not None:
-        parser["glt"] = {}
-        if config.fiducial is not None:
-            parser["glt"]["num_fiducials"] = str(config.fiducial.num_fiducials)
-            parser["glt"]["num_outcomes"] = str(config.fiducial.num_outcomes)
-        if config.num_gbits is not None:
-            parser["glt"]["num_gbits"] = str(config.num_gbits)
-    if config.adversary is not None:
-        parser["adversary"] = {
-            "kind": config.adversary.kind,
-            "basis": config.adversary.basis,
-            "theta": repr(config.adversary.theta),
-            "attack_fraction": repr(config.adversary.attack_fraction),
-            "guess_pairing": str(config.adversary.guess_pairing).lower(),
-        }
-    if config.noise is not None:
-        parser["noise"] = {
-            "kind": config.noise.kind,
-            "probability": repr(config.noise.probability),
-        }
-    buffer = io.StringIO()
-    parser.write(buffer)
-    text = buffer.getvalue()
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    return text
-
-
 def _parse_bits(text: str) -> tuple[int, ...]:
     if text.strip("01"):  # empty exactly when every character is 0 or 1
         raise ConfigValidationError([f"message must be a 0/1 string, got {text!r}"])
     return tuple(map(int, text))
 
 
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
+_DEFAULT = object()  # a missing key takes its dataclass default
+
+
+class _Entry(NamedTuple):
+    """One INI entry: its place, the config field it holds (``name`` or
+    ``name.subname``, also its digest key), how its text parses, and
+    what a file with the section but not the key loads."""
+
+    section: str
+    key: str
+    path: str
+    parse: Callable[[str], object]
+    fallback: object = _DEFAULT
+
+
+# every entry, in the order dump_config writes them
+_LAYOUT = (
+    _Entry("protocol", "schema", "schema", str),
+    _Entry("protocol", "kind", "kind", str, ""),
+    _Entry("protocol", "seed", "seed", int),
+    _Entry("protocol", "check_fraction", "check_fraction", float),
+    _Entry("protocol", "threshold", "threshold", float),
+    _Entry("protocol", "payload_role", "payload_role", str),
+    _Entry("protocol", "block_size", "block_size", int),
+    _Entry("protocol", "message", "message_bits", _parse_bits),
+    _Entry("protocol", "derived_from", "derived_from", str),
+    _Entry("glt", "num_fiducials", "fiducial.num_fiducials", int, None),
+    _Entry("glt", "num_outcomes", "fiducial.num_outcomes", int, None),
+    _Entry("glt", "num_gbits", "num_gbits", int),
+    _Entry("adversary", "kind", "adversary.kind", str, ""),
+    _Entry("adversary", "basis", "adversary.basis", str),
+    _Entry("adversary", "theta", "adversary.theta", float),
+    _Entry("adversary", "attack_fraction", "adversary.attack_fraction", float),
+    _Entry("adversary", "guess_pairing", "adversary.guess_pairing", _parse_bool),
+    _Entry("noise", "kind", "noise.kind", str, ""),
+    _Entry("noise", "probability", "noise.probability", float, 0.0),
+)
+_ENTRIES = {(e.section, e.key): e for e in _LAYOUT}
+_FALLBACKS = tuple(e for e in _LAYOUT if e.fallback is not _DEFAULT)
+_SPECS = {"fiducial": FiducialSpec, "adversary": AdversarySpec, "noise": NoiseSpec}
+# (entry, field, subfield or "") in dump order, and in digest key order
+_DUMP_ORDER = tuple((e, *e.path.partition(".")[::2]) for e in _LAYOUT)
+_DIGEST_ORDER = tuple(sorted(_DUMP_ORDER, key=lambda item: item[0].path))
+
+
+def _texts(config: ProtocolConfig, order: tuple) -> list[tuple[_Entry, str]]:
+    """(entry, value text) of each entry whose field is set, in order."""
+    out = []
+    for entry, name, subname in order:
+        value = getattr(config, name)
+        if value is None:
+            continue
+        if subname:
+            value = getattr(value, subname)
+        out.append((entry, "".join(map(str, value)) if entry.parse is _parse_bits else str(value)))
+    return out
+
+
+def config_digest(config: ProtocolConfig) -> str:
+    """Stable content hash of a config, independent of field order."""
+    canonical = "\n".join(f"{entry.path}={text}" for entry, text in _texts(config, _DIGEST_ORDER))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def dump_config(config: ProtocolConfig, path: Optional[str] = None) -> str:
+    """Serialize to INI text; optionally write it to path."""
+    sections: dict[str, str] = {}
+    for entry, text in _texts(config, _DUMP_ORDER):
+        if entry.parse is _parse_bool:
+            text = text.lower()
+        text = text.replace("\n", "\n\t")  # configparser's continuation lines
+        sections[entry.section] = sections.get(entry.section, "") + f"{entry.key} = {text}\n"
+    text = "".join(f"[{name}]\n{lines}\n" for name, lines in sections.items())
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    return text
+
+
 def load_config(source: str, from_path: bool = True) -> ProtocolConfig:
-    """Parse an INI config from a file path (or raw text)."""
-    parser = configparser.ConfigParser()
+    """Parse an INI config from a file path (or raw text).
+
+    Every entry the file has is parsed; an entry outside the layout, or
+    a value that does not parse, is a diagnostic, all raised together.
+    """
+    # values are read raw, as dump_config writes them, and [DEFAULT] is a
+    # section like any other: its keys do not spread into the layout
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         if from_path:
             read = parser.read(source)
@@ -385,48 +408,40 @@ def load_config(source: str, from_path: bool = True) -> ProtocolConfig:
             parser.read_string(source)
     except configparser.Error as err:  # message carries the offending line
         raise ConfigValidationError([f"config parse failure: {err}"]) from err
-    if "protocol" not in parser:
-        raise ConfigValidationError(["missing [protocol] section"])
-    proto = parser["protocol"]
-    schema = proto.get("schema", CONFIG_SCHEMA)
+    head = _LAYOUT[0]  # the schema entry, in the one section every config has
+    if head.section not in parser:
+        raise ConfigValidationError([f"missing [{head.section}] section"])
+    schema = parser[head.section].get(head.key, CONFIG_SCHEMA)
     if schema != CONFIG_SCHEMA:
         raise ConfigValidationError([f"unsupported config schema {schema!r}"])
-    try:
-        kwargs: dict = {
-            "kind": proto.get("kind", ""),
-            "seed": proto.getint("seed", 0),
-            "check_fraction": proto.getfloat("check_fraction", 0.5),
-            "threshold": proto.getfloat("threshold", 0.0),
-            "payload_role": proto.get("payload_role", "message"),
-        }
-        if "block_size" in proto:
-            kwargs["block_size"] = proto.getint("block_size")
-        if "message" in proto:
-            kwargs["message_bits"] = _parse_bits(proto["message"])
-        if "derived_from" in proto:
-            kwargs["derived_from"] = proto["derived_from"]
-        if "glt" in parser:
-            glt = parser["glt"]
-            if "num_fiducials" in glt or "num_outcomes" in glt:
-                kwargs["fiducial"] = FiducialSpec(
-                    glt.getint("num_fiducials"), glt.getint("num_outcomes")
-                )
-            if "num_gbits" in glt:
-                kwargs["num_gbits"] = glt.getint("num_gbits")
-        if "adversary" in parser:
-            adv = parser["adversary"]
-            kwargs["adversary"] = AdversarySpec(
-                kind=adv.get("kind", ""),
-                basis=adv.get("basis", "random"),
-                theta=adv.getfloat("theta", 0.0),
-                attack_fraction=adv.getfloat("attack_fraction", 1.0),
-                guess_pairing=adv.getboolean("guess_pairing", False),
-            )
-        if "noise" in parser:
-            noise = parser["noise"]
-            kwargs["noise"] = NoiseSpec(
-                kind=noise.get("kind", ""), probability=noise.getfloat("probability", 0.0)
-            )
-    except ValueError as err:  # getint/getfloat parse failures
+    values, diagnostics = {}, []
+    for section in parser.sections():
+        for key, text in parser.items(section):
+            entry = _ENTRIES.get((section, key))
+            if entry is None:
+                diagnostics.append(f"unknown config entry [{section}] {key}")
+                continue
+            try:
+                values[entry.path] = entry.parse(text)
+            except ValueError as err:  # int, float, boolean and bit-string parse failures
+                diagnostics.append(f"malformed config value: {err}")
+    if diagnostics:
+        raise ConfigValidationError(diagnostics)
+    for entry in _FALLBACKS:
+        if entry.section in parser:
+            values.setdefault(entry.path, entry.fallback)
+    kwargs: dict = {}
+    for path, value in values.items():
+        name, _, subname = path.partition(".")
+        if subname:
+            kwargs.setdefault(name, {})[subname] = value
+        elif path != head.path:  # checked above
+            kwargs[name] = value
+    try:  # a spec holding only None fallbacks (a [glt] without a fiducial) is not built
+        for name, spec in _SPECS.items():
+            parts = kwargs.pop(name, {})
+            if any(v is not None for v in parts.values()):
+                kwargs[name] = spec(**parts)
+    except ValueError as err:  # a fiducial spec out of range
         raise ConfigValidationError([f"malformed config value: {err}"]) from err
     return ProtocolConfig(**kwargs)

@@ -87,7 +87,7 @@ class Permutation:
 # ---------------------------------------------------------------- carriers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compared by identity
 class ParticleBlock:
     """Quantum particles in transit, as index arrays into a pair engine.
 
@@ -133,20 +133,12 @@ class EveHook:
     """Adversary interposition point on the carrier channel.
 
     The channel hands over each block of carriers as a whole, in
-    transit (delivery) order, and never exposes the permutation; classical broadcasts are observed read-only. The base
-    class is a transparent wiretap that records its inputs so tests can
-    audit exactly what the adversary saw.
+    transit (delivery) order, and never exposes the permutation. The
+    base class is a transparent wiretap: it passes every block on as is.
     """
 
-    def __init__(self) -> None:
-        self.input_trace: list = []
-
     def intercept(self, carrier: GbitBlock | ParticleBlock) -> GbitBlock | ParticleBlock:
-        self.input_trace.append(carrier)
         return carrier
-
-    def observe_classical(self, payload: object) -> None:
-        self.input_trace.append(("classical", payload))
 
 
 # ---------------------------------------------------------------- transcript
@@ -297,9 +289,10 @@ def _gather_index(perm, size: int) -> np.ndarray:
 class Channel:
     """One run's transport fabric: carrier sends, broadcasts, logging.
 
-    An attached EveHook sees every carrier in transit order and every
-    classical broadcast. Channel noise, when configured, hits quantum
-    carriers after any interception, modeling a noisy final hop.
+    An attached EveHook sees every carrier in transit order; classical
+    broadcasts go to the public transcript. Channel noise, when
+    configured, hits quantum carriers after any interception, modeling a
+    noisy final hop.
     """
 
     def __init__(
@@ -350,9 +343,8 @@ class Channel:
         return block
 
     def broadcast(self, payload: object, sender: str, description: str) -> object:
-        """Authenticated classical broadcast; Eve reads, cannot write."""
-        if self.eve_hook is not None:
-            self.eve_hook.observe_classical(payload)
+        """Authenticated classical broadcast, logged in the public
+        transcript; Eve cannot write it."""
         self.transcript.append(TranscriptRecord(
             self.transcript.last_round + 1, "classical", sender, description, False
         ))

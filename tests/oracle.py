@@ -20,6 +20,9 @@ in ``orthosim.metrics``.
 The PoP (permutation of particles) references build Eve's probe states by
 dense enumeration of every placement, the oracles for
 ``orthosim.adversary.pop_eve_information``.
+
+``RecordingHook`` is a transparent wiretap that keeps every block the
+channel hands it, so tests can audit exactly what the adversary saw.
 """
 
 import itertools
@@ -46,6 +49,7 @@ from orthosim.quantum import (
     _num_qubits_for,
     holevo_information,
 )
+from orthosim.transport import EveHook
 
 NORM_TOL = 1e-10
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -576,3 +580,17 @@ def multiset_pop_information(theta, num_pairs):
         count, state = pop_multiset_state(sigma, multiset, perms)
         ensemble.append((count / 4**num_pairs, DensityMatrix(state)))
     return holevo_information(ensemble) / num_pairs
+
+
+# ---------------------------------------------------------------- channel audit
+
+
+class RecordingHook(EveHook):
+    """Pass every block on unchanged, keeping each one in ``blocks``."""
+
+    def __init__(self) -> None:
+        self.blocks: list = []
+
+    def intercept(self, carrier):
+        self.blocks.append(carrier)
+        return carrier

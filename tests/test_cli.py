@@ -11,7 +11,8 @@ import pytest
 from orthosim.adversary import stream_eve_information
 from orthosim.cli import BUILTINS, COLUMNS, main
 from orthosim.config import AdversarySpec, NoiseSpec, ProtocolConfig, dump_config, load_config
-from orthosim.protocols import RESULT_SCHEMA, run
+from orthosim.metrics import binary_entropy
+from orthosim.protocols import RESULT_SCHEMA, key_reduce, run
 
 from conftest import assert_frequency
 from oracle import exhaustive_pop_information, multiset_pop_information
@@ -45,6 +46,20 @@ def test_validate_reports_diagnostics(tmp_path, capsys):
     assert main(["validate", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "exceeds capacity" in err
+
+
+def test_validate_reports_unknown_entries(tmp_path, capsys):
+    bad = tmp_path / "typos.ini"
+    bad.write_text(
+        "[protocol]\nkind = stream-qkd\nblock_size = 8\nblok_size = 9\n"
+        "[adversary]\nkind = probe\nthetta = 0.4\n[adversery]\ntheta = 0.4\n"
+    )
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "diagnostic: unknown config entry [protocol] blok_size",
+        "diagnostic: unknown config entry [adversary] thetta",
+        "diagnostic: unknown config entry [adversery] theta",
+    ]
 
 
 def test_validate_missing_file(capsys):
@@ -323,6 +338,21 @@ def test_parser_is_built_once_per_process(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["run", "--config", "a.ini", "--builtin", "theta-sweep"])
     assert main(["run", "--builtin", "theta-sweep", "--out", str(tmp_path)]) == 0
+
+
+def test_metrics_rescores_a_key_reduced_pop_run_by_the_qsdc_condition(tmp_path, capsys):
+    # key_reduce relabels a pop run as QKD, but the run still scores its
+    # block verdict by the strict QSDC condition I(A:B) > I'(A:E)
+    base = ProtocolConfig(kind="pop-qsdc", seed=3, block_size=3, message_bits=(1,),
+                          adversary=AdversarySpec("probe", theta=0.3))
+    result = run(key_reduce(base, 2))
+    assert result.security_class == "QKD" and result.verdict.block_size == 3
+    doc = result.to_json_dict()
+    doc["verdict"]["info_ae"] = 1.0 - binary_entropy(doc["error_rate"])  # a tie
+    path = tmp_path / "key.result.json"
+    path.write_text(json.dumps(doc))
+    assert main(["metrics", "--result", str(path)]) == 0
+    assert "advantage_holds = False" in capsys.readouterr().out.splitlines()
 
 
 def test_metrics_threshold_override(tmp_path, capsys):

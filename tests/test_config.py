@@ -1,5 +1,6 @@
 """Config validation, persistence, digests, and code arithmetic."""
 
+import ast
 import math
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from orthosim.config import (
 from orthosim.gpt import FiducialSpec
 from orthosim.metrics import DEFAULT_QUANTUM_THRESHOLD, binary_entropy
 from orthosim.quantum import NoiseChannel
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def glt_config(**overrides):
@@ -359,7 +362,7 @@ SHIPPED_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
 def test_shipped_config_digests_are_stable(name):
-    path = Path(__file__).resolve().parent.parent / "configs" / name
+    path = REPO / "configs" / name
     assert config_digest(load_config(str(path))) == SHIPPED_DIGESTS[name]
 
 
@@ -379,3 +382,127 @@ def test_config_digest_survives_persistence():
     cfg = ROUNDTRIP_CONFIGS[2]
     loaded = load_config(dump_config(cfg), from_path=False)
     assert config_digest(loaded) == config_digest(cfg)
+
+
+# ---------------------------------------------------------------- layout pins
+
+
+# dump_config text of each ROUNDTRIP_CONFIGS entry, recorded before the
+# INI layout became one table; the bytes must not move
+ROUNDTRIP_TEXTS = [
+    "[protocol]\nschema = orthosim.config/v1\nkind = glt2s\nseed = 3\ncheck_fraction = 0.5\n"
+    "threshold = 0.0\npayload_role = message\n\n"
+    "[glt]\nnum_fiducials = 2\nnum_outcomes = 2\nnum_gbits = 10\n\n"
+    "[adversary]\nkind = glt-intercept-resend\nbasis = random\ntheta = 0.0\n"
+    "attack_fraction = 0.25\nguess_pairing = false\n\n",
+    "[protocol]\nschema = orthosim.config/v1\nkind = stream-qkd\nseed = 12\n"
+    "check_fraction = 0.25\nthreshold = 0.0\npayload_role = message\nblock_size = 8\n\n"
+    "[adversary]\nkind = probe\nbasis = random\ntheta = 0.7853981633974483\n"
+    "attack_fraction = 1.0\nguess_pairing = false\n\n"
+    "[noise]\nkind = depolarizing\nprobability = 0.015\n\n",
+    "[protocol]\nschema = orthosim.config/v1\nkind = pop-qsdc\nseed = 99\ncheck_fraction = 0.5\n"
+    "threshold = 0.05\npayload_role = message\nblock_size = 7\nmessage = 10\n"
+    "derived_from = block-reduction:abc123\n\n",
+    "[protocol]\nschema = orthosim.config/v1\nkind = pop-qsdc\nseed = 0\ncheck_fraction = 0.5\n"
+    "threshold = 0.0\npayload_role = key\nblock_size = 4\nmessage = 011\n\n",
+]
+
+
+@pytest.mark.parametrize("config, text", list(zip(ROUNDTRIP_CONFIGS, ROUNDTRIP_TEXTS)))
+def test_dump_text_is_pinned(config, text):
+    assert dump_config(config) == text
+
+
+# sets every entry of the layout (so it is no runnable protocol)
+EVERY_ENTRY = ProtocolConfig(
+    kind="pop-qsdc", seed=17, check_fraction=0.75, threshold=0.05,
+    fiducial=FiducialSpec(3, 2), num_gbits=6, block_size=9, message_bits=(1, 0, 1, 1),
+    payload_role="key",
+    adversary=AdversarySpec("quantum-intercept-resend", basis="X", theta=0.25,
+                            attack_fraction=0.5, guess_pairing=True),
+    noise=NoiseSpec("bit-flip", 0.02), derived_from="key-reduction:abc123",
+)
+
+
+def test_every_entry_digest_and_dump_are_pinned():
+    text = dump_config(EVERY_ENTRY)
+    assert text == (
+        "[protocol]\nschema = orthosim.config/v1\nkind = pop-qsdc\nseed = 17\n"
+        "check_fraction = 0.75\nthreshold = 0.05\npayload_role = key\nblock_size = 9\n"
+        "message = 1011\nderived_from = key-reduction:abc123\n\n"
+        "[glt]\nnum_fiducials = 3\nnum_outcomes = 2\nnum_gbits = 6\n\n"
+        "[adversary]\nkind = quantum-intercept-resend\nbasis = X\ntheta = 0.25\n"
+        "attack_fraction = 0.5\nguess_pairing = true\n\n"
+        "[noise]\nkind = bit-flip\nprobability = 0.02\n\n"
+    )
+    expected = "26cad0b74b8684354d1fe5abb4704cbe14cf37b9619274ffbb08c43daac94863"
+    assert config_digest(EVERY_ENTRY) == expected
+    loaded = load_config(text, from_path=False)
+    assert loaded == EVERY_ENTRY
+    assert config_digest(loaded) == expected
+
+
+# ---------------------------------------------------------------- unknown entries
+
+
+@pytest.mark.parametrize(
+    "text, diagnostics",
+    [
+        # a misspelled section would run unattacked
+        ("[protocol]\nkind = stream-qkd\nblock_size = 8\n"
+         "[adversery]\nkind = probe\ntheta = 0.4\n",
+         ["unknown config entry [adversery] kind", "unknown config entry [adversery] theta"]),
+        # a misspelled key would leave a probe at theta = 0
+        ("[protocol]\nkind = stream-qkd\nblock_size = 8\n[adversary]\nkind = probe\nthetta = 0.4\n",
+         ["unknown config entry [adversary] thetta"]),
+        # a misspelled block size would be dropped
+        ("[protocol]\nkind = glt2s\nblok_size = 9\n"
+         "[glt]\nnum_fiducials = 2\nnum_outcomes = 2\nnum_gbits = 10\n",
+         ["unknown config entry [protocol] blok_size"]),
+        # configparser would copy [DEFAULT] keys into every section
+        ("[DEFAULT]\nseed = 3\n[protocol]\nkind = stream-qkd\nblock_size = 8\n",
+         ["unknown config entry [DEFAULT] seed"]),
+    ],
+    ids=["misspelled-section", "misspelled-key", "misspelled-block-size", "default-section"],
+)
+def test_unknown_entries_are_diagnostics(text, diagnostics):
+    with pytest.raises(ConfigValidationError) as err:
+        load_config(text, from_path=False)
+    assert err.value.diagnostics == diagnostics
+
+
+def test_values_round_trip_verbatim():
+    # dump_config writes strings as they are, so load_config must not
+    # interpolate them
+    config = pop_config(derived_from="block-reduction:%(x)s 50%")
+    assert load_config(dump_config(config), from_path=False) == config
+
+
+def test_unknown_entries_and_malformed_values_are_raised_together():
+    text = "[protocol]\nkind = stream-qkd\nseed = x\nblok_size = 9\n[noise]\nkind = bit-flip\n"
+    with pytest.raises(ConfigValidationError) as err:
+        load_config(text, from_path=False)
+    assert err.value.diagnostics == [
+        "malformed config value: invalid literal for int() with base 10: 'x'",
+        "unknown config entry [protocol] blok_size",
+    ]
+
+
+def _pop_cli_ini() -> str:
+    """The benchmark's pop-cli config, read as source (its message
+    placeholder filled with as many bits as the benchmark sends)."""
+    tree = ast.parse((REPO / "bench" / "workloads.py").read_text())
+    values = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("POP_CLI_INI", "POP_CLI_MESSAGE_BITS")
+    }
+    return values["POP_CLI_INI"].format(message="1" * values["POP_CLI_MESSAGE_BITS"])
+
+
+def test_shipped_and_benchmark_configs_load_clean():
+    for path in sorted((REPO / "configs").glob("*.ini")):
+        assert load_config(str(path)).validate() == [], path.name
+    assert load_config(_pop_cli_ini(), from_path=False).validate() == []
