@@ -1,10 +1,11 @@
 """Simulation suite for orthogonal-state-based cryptographic protocols.
 
 Layered bottom-up: ``gpt`` (fiducial-table states as gbit blocks),
-``quantum`` (the Pauli-frame pair engine, noise channels as Pauli
-mixtures, the probe-attack spec, and the Holevo helpers the benchmark
-tracer pins), ``transport`` (gbit and particle blocks, the
-eavesdropper-hookable channel, transcripts), ``config`` (validated
+``quantum`` (the Pauli-frame pair engine and its particle blocks,
+noise channels as Pauli mixtures, the probe-attack spec, and the Holevo
+helpers the benchmark tracer pins), ``transport`` (the
+eavesdropper-hookable channel over gbit and particle blocks,
+transcripts), ``config`` (validated
 protocol configurations), ``metrics`` (entropies, information rates,
 the closed-form probe sweep, security verdicts), ``adversary``
 (attack strategies and their exact information analytics),
@@ -82,6 +83,7 @@ from orthosim.quantum import (
     BellOutcome,
     DensityMatrix,
     NoiseChannel,
+    ParticleBlock,
     ProbeAttackSpec,
     QuantumError,
     QuantumRegistry,
@@ -93,7 +95,6 @@ from orthosim.quantum import (
 from orthosim.transport import (
     Channel,
     EveHook,
-    ParticleBlock,
     Permutation,
     Transcript,
     TranscriptRecord,

@@ -20,8 +20,8 @@ import numpy as np
 
 from .gpt import GbitBlock, measure_fiducial
 from .metrics import binary_entropy
-from .quantum import ProbeAttackSpec
-from .transport import EveHook, ParticleBlock
+from .quantum import ParticleBlock, ProbeAttackSpec
+from .transport import EveHook
 
 __all__ = [
     "AdversaryError",
@@ -221,7 +221,7 @@ class QuantumInterceptResend(EveHook):
             bases = np.array(["Z", "X"])[self.rng.integers(0, 2, size=len(block))]
         else:
             bases = np.full(len(block), self.basis)
-        outcomes = block.registry.measure(block.pairs, block.qubits, bases, self.rng)
+        outcomes = block.registry.measure(block, bases, self.rng)
         self.observations.append((bases, outcomes))
         self.rounds_attacked += len(block)
         return carrier
@@ -246,7 +246,7 @@ class ProbeAttack(EveHook):
     def intercept(self, carrier):
         if not isinstance(carrier, ParticleBlock):
             raise AdversaryError("probe attack needs a particle block")
-        carrier.registry.attach_probe(carrier.pairs, carrier.qubits, self.spec, self.rng)
+        carrier.registry.attach_probe(carrier, self.spec, self.rng)
         self.rounds_attacked += len(carrier)
         return carrier
 

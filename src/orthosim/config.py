@@ -117,6 +117,7 @@ class NoiseSpec:
             out.append(f"noise probability out of [0, 1]: {self.probability}")
         return out
 
+    @functools.lru_cache(maxsize=64)  # one read-only channel per spec, shared across runs
     def to_channel(self) -> NoiseChannel:
         return NoiseChannel(self.kind, self.probability)
 
@@ -371,8 +372,13 @@ def _texts(config: ProtocolConfig, order: tuple) -> list[tuple[_Entry, str]]:
 
 def config_digest(config: ProtocolConfig) -> str:
     """Stable content hash of a config, independent of field order."""
-    canonical = "\n".join(f"{entry.path}={text}" for entry, text in _texts(config, _DIGEST_ORDER))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    # memoized on the instance, as ensure_valid is: configs are frozen
+    digest = vars(config).get("_digest")
+    if digest is None:
+        canonical = "\n".join(f"{entry.path}={text}" for entry, text in _texts(config, _DIGEST_ORDER))
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        object.__setattr__(config, "_digest", digest)
+    return digest
 
 
 def dump_config(config: ProtocolConfig, path: Optional[str] = None) -> str:

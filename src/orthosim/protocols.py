@@ -50,8 +50,8 @@ from .metrics import (
     check_qkd_condition,
     check_qsdc_condition,
 )
-from .quantum import BellOutcome, ProbeAttackSpec, QuantumRegistry
-from .transport import Channel, EveHook, ParticleBlock, Transcript, _indented_json
+from .quantum import BellOutcome, ParticleBlock, ProbeAttackSpec, QuantumRegistry
+from .transport import Channel, EveHook, Transcript, _indented_json
 
 __all__ = [
     "EscapeEstimate",
@@ -176,18 +176,12 @@ def _rng_streams(config: ProtocolConfig, seed: int):
     # never perturbs the legitimate parties' randomness; one digest
     # feeds all three because generator seeding dominates short runs
     digest = hashlib.sha256(f"{seed}:streams".encode()).digest()
-    main = np.random.default_rng(int.from_bytes(digest[:8], "big"))
-    eve = (
-        np.random.default_rng(int.from_bytes(digest[8:16], "big"))
-        if config.adversary is not None
-        else None
-    )
-    noise = (
-        np.random.default_rng(int.from_bytes(digest[16:24], "big"))
-        if config.noise is not None
-        else None
-    )
-    return main, eve, noise
+
+    def generator(k: int) -> np.random.Generator:  # default_rng(s), without its dispatch
+        return np.random.Generator(np.random.PCG64(int.from_bytes(digest[8 * k : 8 * k + 8], "big")))
+
+    eve = generator(1) if config.adversary is not None else None
+    return generator(0), eve, generator(2) if config.noise is not None else None
 
 
 def _build_hook(config: ProtocolConfig, rng_eve: np.random.Generator) -> Optional[EveHook]:
@@ -393,9 +387,9 @@ def glt_escape_trials(
 # ---------------------------------------------------------------- streaming QKD
 
 
-def _dense_encode(registry: QuantumRegistry, pairs: np.ndarray, bits: np.ndarray) -> None:
+def _dense_encode(halves: ParticleBlock, bits: np.ndarray) -> None:
     # bits (b0, b1) per pair select I/X/Z/XZ = X^b1 Z^b0 on half 0
-    registry.apply_pauli(pairs, 0, x=bits[:, 1], z=bits[:, 0])
+    halves.registry.apply_pauli(halves, x=bits[:, 1], z=bits[:, 0])
 
 
 def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunResult:
@@ -420,18 +414,17 @@ def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunRes
 
     pairs = registry.allocate(rounds)
     alice_bits = rng.integers(0, 2, size=(rounds, 2))
-    _dense_encode(registry, pairs, alice_bits)
     stream = ParticleBlock(registry, *np.divmod(np.arange(2 * rounds), 2))
+    _dense_encode(stream.take(slice(0, None, 2)), alice_bits)  # half 0 of each pair
     channel.send_block(stream, None, stream=True)
     bob_bits = _BELL_BITS[registry.bell_measure(pairs, rng)]
 
     num_checks = round(config.check_fraction * rounds)
     check_rounds = np.sort(rng.choice(rounds, size=num_checks, replace=False))
-    channel.broadcast(check_rounds.tolist(), "alice", f"check rounds n={num_checks}")
-    channel.broadcast(
-        bob_bits[check_rounds].tolist(), "bob", f"check bits n={num_checks}"
-    )
-    wrong = alice_bits[check_rounds] != bob_bits[check_rounds]
+    bob_checked = bob_bits[check_rounds]
+    channel.broadcast(check_rounds, "alice", f"check rounds n={num_checks}")
+    channel.broadcast(bob_checked, "bob", f"check bits n={num_checks}")
+    wrong = alice_bits[check_rounds] != bob_checked
     events = tuple(wrong.any(axis=1).tolist())
     error_rate = int(wrong.sum()) / (2 * num_checks)
     aborted = error_rate > config.threshold
@@ -506,9 +499,10 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
     block1 = ParticleBlock(registry, *np.divmod(np.flatnonzero(sent), 2))
     scramble = rng.permutation(len(block1))
     channel.send_block(block1, scramble, sender="alice")
-    # block-1 delivery position of each (pair, half) sent in it, else -1
+    # block-1 delivery position of each (pair, half) sent in it, else -1;
+    # row-major, so slot 2 pair + half is its flat index
     position = np.full((total, 2), -1, dtype=np.intp)
-    position[block1.pairs[scramble], block1.qubits[scramble]] = np.arange(len(block1))
+    position.reshape(-1)[block1.slots[scramble]] = np.arange(len(block1))
 
     # (c) first check: reveal check-pair positions, Bell-check a fraction
     num_compared = round(config.check_fraction * n_pairs)
@@ -517,7 +511,7 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
     reveal = (check_pairs, position[check_pairs])
     channel.broadcast(reveal, "alice", f"check-pair reveal n={n_pairs}")
     events_first, wrong_first = _bell_check(registry, check_pairs, compared, rng)
-    channel.broadcast(np.sort(compared).tolist(), "bob", f"compared checks n={num_compared}")
+    channel.broadcast(compared, "bob", f"compared checks n={num_compared}")
     error_first = wrong_first / (2 * num_compared)
 
     eve_info: Optional[float] = 0.0
@@ -539,8 +533,8 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
     is_second[message_pairs] = False
     second_pairs = np.flatnonzero(is_second)
     message_index = np.searchsorted(retained, message_pairs)  # position in block 2
-    _dense_encode(registry, message_pairs, coded.reshape(n_pairs, 2))
     block2 = ParticleBlock(registry, retained, 0)
+    _dense_encode(block2.take(message_index), coded.reshape(n_pairs, 2))
     channel.send_block(block2, None, sender="alice")
     block2_index = np.searchsorted(retained, second_pairs)
 

@@ -2,8 +2,9 @@
 
 :class:`QuantumRegistry` holds each pair of a protocol run as one int8
 state code, a Pauli frame on a singlet or a product of Z/X eigenstates,
-and runs every operation as a lookup in tables built at import.  Beside
-it: the Bell outcomes, memoryless noise channels as Pauli mixtures, and
+and runs every operation as a lookup in tables built at import, on
+particle blocks checked once, when they are built.  Beside it: the Bell
+outcomes, memoryless noise channels as Pauli mixtures, and
 the probe-attack spec, whose probes the engine traces out as Z flips.
 
 The module also keeps a small density-matrix Holevo helper set
@@ -73,8 +74,11 @@ class NoiseChannel:
         mixture = self.pauli_mixture()
         # a draw past the last cumulative weight (rounding) gets the trailing identity
         codes = [next(i for op, i in _PAULI_INDEX if op is m) for _, m in mixture]
-        object.__setattr__(self, "_cumulative", np.cumsum([w for w, _ in mixture]))
-        object.__setattr__(self, "_codes", np.array(codes + [0]))
+        # read-only: one channel per noise spec is shared across runs
+        cumulative, codes = np.cumsum([w for w, _ in mixture]), np.array(codes + [0])
+        cumulative.flags.writeable = codes.flags.writeable = False
+        object.__setattr__(self, "_cumulative", cumulative)
+        object.__setattr__(self, "_codes", codes)
 
     def pauli_mixture(self) -> list[tuple[float, np.ndarray]]:
         """The channel as a random-Pauli process (used for trajectories)."""
@@ -168,6 +172,27 @@ def _pair_tables() -> tuple[np.ndarray, ...]:
 _PAULI, _P0, _AFTER, _BELL_CUMULATIVE = _pair_tables()
 
 
+# a duplicate check marks one byte per value over the values' span while
+# that span is under this many bytes per value, and sorts them otherwise
+_MARK_SPAN = 8
+
+
+def _repeats(values: np.ndarray) -> bool:
+    """Whether any of these nonnegative integers appears twice, in time
+    and memory that grow with their count, not with their largest value."""
+    if values.size < 2:
+        return False
+    limit = _MARK_SPAN * values.size
+    high = int(values.max())
+    low = int(values.min()) if high >= limit else 0
+    if high - low >= limit:
+        ordered = np.sort(values)
+        return bool((ordered[1:] == ordered[:-1]).any())
+    seen = np.zeros(high - low + 1, dtype=bool)
+    seen[values - low if low else values] = True
+    return np.count_nonzero(seen) < values.size
+
+
 def _halves(slots: np.ndarray) -> list[tuple[int, np.ndarray | slice, np.ndarray]]:
     """Validated slots by half, half 0 first: (half, call positions, pairs)."""
     odd = slots & 1
@@ -189,9 +214,9 @@ class QuantumRegistry:
     Z, X and Bell measurements keep this exact (Pauli-frame tracking) as
     lookups in tables built at import; probes are traced out as they attach.
 
-    Operations take index arrays, ``pairs`` and the halves hit in each
-    (a scalar covers the call); a (pair, half) may appear once per call.
-    Each call checks its particles once, as slots 2 pair + half.
+    The per-half operations take a :class:`ParticleBlock`, whose
+    particles were checked once, when it was built, and check none of
+    them again; :meth:`bell_measure` takes pair indices and checks them.
     """
 
     def __init__(self) -> None:
@@ -212,7 +237,8 @@ class QuantumRegistry:
     def slots(self, pairs, qubits) -> np.ndarray:
         """Slot 2 pair + half of each listed particle, validated in one
         pass: halves by a bitwise test, pairs by an unsigned range test,
-        duplicates by one bincount."""
+        duplicates by :func:`_repeats` (on the pairs when one half covers
+        the call)."""
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
         if isinstance(qubits, (int, np.integer)):  # one half for the whole call
             halves_ok = qubits in (0, 1)
@@ -226,9 +252,16 @@ class QuantumRegistry:
         if pairs.size and pairs.view(np.uintp).max() >= self._code.size:
             raise QuantumValidationError(f"pair index outside [0, {self.num_pairs})")
         slots = pairs + pairs + qubits
-        if slots.size and np.count_nonzero(np.bincount(slots)) < slots.size:
+        if _repeats(slots if np.ndim(qubits) else pairs):
             raise QuantumValidationError("a particle appears twice in one call")
         return slots
+
+    def _slots_of(self, block: ParticleBlock) -> np.ndarray:
+        """A block's slots, checked when it was built; only its registry is
+        checked here."""
+        if block.registry is not self:
+            raise QuantumValidationError("the block holds particles of another registry")
+        return block.slots
 
     def _apply(self, slots: np.ndarray, xz) -> None:
         """X^x Z^z on validated slots, xz = 2x + z per particle or shared."""
@@ -236,11 +269,11 @@ class QuantumRegistry:
         for half, where, group in _halves(slots):
             self._code[group] = _PAULI[half, xz if shared else xz[where], self._code[group]]
 
-    def apply_pauli(self, pairs, qubits, x, z) -> None:
-        """Apply X^x Z^z to each listed half, with 0/1 exponents per
-        particle (a scalar covers the call).  Dense coding of the bits
+    def apply_pauli(self, block: ParticleBlock, x, z) -> None:
+        """Apply X^x Z^z to each particle of the block, with 0/1 exponents
+        per particle (a scalar covers the call).  Dense coding of the bits
         (b0, b1) is (x, z) = (b1, b0) on a pair's half 0."""
-        slots = self.slots(pairs, qubits)
+        slots = self._slots_of(block)
         x, z = np.asarray(x), np.asarray(z)
         if np.count_nonzero((x | z) & -2):
             raise QuantumValidationError(
@@ -252,21 +285,22 @@ class QuantumRegistry:
             raise QuantumValidationError(f"{xz.size} exponents for {slots.size} particles")
         self._apply(slots, xz)
 
-    def apply_noise(self, pairs, qubits, channel: NoiseChannel, rng) -> None:
-        """One stochastic trajectory of the channel on each listed qubit:
-        a random Pauli drawn with the channel's mixture weights."""
-        slots = self.slots(pairs, qubits)
+    def apply_noise(self, block: ParticleBlock, channel: NoiseChannel, rng) -> None:
+        """One stochastic trajectory of the channel on each particle of
+        the block: a random Pauli drawn with the channel's mixture weights."""
+        slots = self._slots_of(block)
         xz = channel.sample_codes(slots.size, rng)
         hit = np.flatnonzero(xz)
         self._apply(slots[hit], xz[hit])
 
-    def measure(self, pairs, qubits, bases, rng) -> np.ndarray:
-        """Projective measurement of each listed qubit in its basis, "Z"
-        or "X" (X outcome 0 is the +1 eigenstate); returns the outcomes
-        and leaves each qubit in the observed eigenstate.  Outcome 1 is
-        ``draw >= p0``, one uniform per particle; half 0 collapses first.
+    def measure(self, block: ParticleBlock, bases, rng) -> np.ndarray:
+        """Projective measurement of each particle of the block in its
+        basis, "Z" or "X" (X outcome 0 is the +1 eigenstate); returns the
+        outcomes and leaves each qubit in the observed eigenstate.  Outcome
+        1 is ``draw >= p0``, one uniform per particle; half 0 collapses
+        first.
         """
-        slots = self.slots(pairs, qubits)
+        slots = self._slots_of(block)
         bases = np.asarray(bases)
         is_x = bases == "X"
         if not (is_x | (bases == "Z")).all():
@@ -281,11 +315,11 @@ class QuantumRegistry:
             outcomes[where] = seen
         return outcomes
 
-    def attach_probe(self, pairs, qubits, spec: ProbeAttackSpec, rng) -> None:
-        """Entangle a fresh ``|0>`` probe with each listed half and trace
-        it out: the half takes a Z flip with probability (1 - cos theta)/2,
-        one uniform per particle from ``rng``."""
-        slots = self.slots(pairs, qubits)
+    def attach_probe(self, block: ParticleBlock, spec: ProbeAttackSpec, rng) -> None:
+        """Entangle a fresh ``|0>`` probe with each particle of the block
+        and trace it out: the half takes a Z flip with probability
+        (1 - cos theta)/2, one uniform per particle from ``rng``."""
+        slots = self._slots_of(block)
         flip = rng.random(slots.size) < (1.0 - math.cos(spec.theta)) / 2.0
         self._apply(slots[flip], 1)
 
@@ -303,6 +337,42 @@ class QuantumRegistry:
         outcomes = np.add.reduce(rng.random(pairs.size) >= cumulative, axis=0)
         self._code[pairs] = 3 - outcomes  # BellOutcome k is frame 3 - k
         return outcomes
+
+
+class ParticleBlock:
+    """Quantum particles in transit, as slots into a pair engine.
+
+    Particle ``i`` is half ``slots[i] & 1`` of pair ``slots[i] >> 1`` in
+    ``registry``.  The block is checked once, when it is built from pair
+    indices and halves (a scalar half covers the block): every pair in
+    the registry, every half 0 or 1, no particle twice.  Its parts
+    (:meth:`take`) and the registry operations that take it check none of
+    its particles again.
+    """
+
+    __slots__ = ("registry", "slots")
+
+    def __init__(self, registry: QuantumRegistry, pairs, qubits) -> None:
+        self.registry = registry
+        self.slots = registry.slots(pairs, qubits)
+
+    @property
+    def pairs(self) -> np.ndarray:
+        return self.slots >> 1
+
+    @property
+    def qubits(self) -> np.ndarray:
+        return self.slots & 1
+
+    def __len__(self) -> int:
+        return self.slots.size
+
+    def take(self, index) -> ParticleBlock:
+        """The particles at ``index`` (gather semantics, a slice, or a
+        mask), not checked again: ``index`` must not repeat a position."""
+        part = object.__new__(ParticleBlock)
+        part.registry, part.slots = self.registry, self.slots[index]
+        return part
 
 
 # --------------------------------------------------------------- Holevo helpers

@@ -4,7 +4,9 @@ An authenticated classical channel (readable but not writable by the
 adversary), a tamperable carrier channel with an adversary interposition
 hook, permuted block transmission, and line-oriented transcript logging.
 Carriers travel as whole blocks: a gbit block (``gpt.GbitBlock``), or
-pair halves addressed by index arrays into one batched pair engine.
+a particle block (``quantum.ParticleBlock``, re-exported here): pair
+halves as slots into one batched pair engine, checked once, when the
+block is built.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .gpt import GbitBlock
-from .quantum import NoiseChannel, QuantumRegistry, QuantumValidationError
+from .quantum import NoiseChannel, ParticleBlock
 
 __all__ = [
     "Channel",
@@ -30,7 +32,7 @@ __all__ = [
 
 
 class TransportError(ValueError):
-    """Raised for channel misuse: bad permutations, duplicate particles."""
+    """Raised for channel misuse: bad permutations, noise on gbits."""
 
 
 # ---------------------------------------------------------------- permutations
@@ -85,41 +87,6 @@ class Permutation:
 
 
 # ---------------------------------------------------------------- carriers
-
-
-@dataclass(frozen=True, eq=False)  # array fields: compared by identity
-class ParticleBlock:
-    """Quantum particles in transit, as index arrays into a pair engine.
-
-    Particle ``i`` is half ``qubits[i]`` (0 or 1) of pair ``pairs[i]``
-    in ``registry``; a scalar ``qubits`` is the half of every particle.
-    The block is checked once, when built: every pair in the registry,
-    every half 0 or 1, no particle twice.
-    """
-
-    registry: QuantumRegistry
-    pairs: np.ndarray
-    qubits: np.ndarray | int
-
-    def __post_init__(self) -> None:
-        try:
-            self.registry.slots(self.pairs, self.qubits)
-        except QuantumValidationError as err:
-            raise TransportError(f"bad particle block: {err}") from None
-        qubits = np.asarray(self.qubits, dtype=np.intp)
-        object.__setattr__(self, "pairs", np.asarray(self.pairs, dtype=np.intp).reshape(-1))
-        object.__setattr__(self, "qubits", qubits if qubits.ndim else int(qubits))
-
-    def __len__(self) -> int:
-        return self.pairs.size
-
-    def take(self, index) -> "ParticleBlock":
-        """The particles at ``index`` (gather semantics, or a mask), not
-        checked again: ``index`` must not repeat a position."""
-        part = object.__new__(ParticleBlock)
-        qubits = self.qubits[index] if isinstance(self.qubits, np.ndarray) else self.qubits
-        part.__dict__.update(registry=self.registry, pairs=self.pairs[index], qubits=qubits)
-        return part
 
 
 # transcript label of each carrier kind, stable across engine designs
@@ -333,7 +300,7 @@ class Channel:
         if self.eve_hook is not None:
             block = self.eve_hook.intercept(block)
         if self.noise is not None:
-            block.registry.apply_noise(block.pairs, block.qubits, self.noise, self.noise_rng)
+            block.registry.apply_noise(block, self.noise, self.noise_rng)
         count, size = (len(block), 1) if stream else (1, len(block))
         record = TranscriptRecord(
             self.transcript.last_round + 1, "carrier", sender,

@@ -246,15 +246,15 @@ def test_quantum_intercept_transparent_on_z_eigenstates():
     hook = QuantumInterceptResend("Z", rng)
     reg = QuantumRegistry()
     pairs = reg.allocate(64)
-    prepared = reg.measure(pairs, 0, "Z", rng)  # half 0 holds a Z eigenstate
+    prepared = reg.measure(ParticleBlock(reg, pairs, 0), "Z", rng)  # half 0 holds a Z eigenstate
     assert 0 < prepared.sum() < 64
     hook.intercept(ParticleBlock(reg, pairs, 0))
     bases, outcomes = hook.observations[-1]
     assert (bases == "Z").all()
     assert (outcomes == prepared).all()
     # both halves are left as they were: the eigenstate and its anticorrelated partner
-    assert (reg.measure(pairs, 0, "Z", rng) == prepared).all()
-    assert (reg.measure(pairs, 1, "Z", rng) == 1 - prepared).all()
+    assert (reg.measure(ParticleBlock(reg, pairs, 0), "Z", rng) == prepared).all()
+    assert (reg.measure(ParticleBlock(reg, pairs, 1), "Z", rng) == 1 - prepared).all()
 
 
 def test_quantum_intercept_disturbs_conjugate_states():
@@ -263,9 +263,9 @@ def test_quantum_intercept_disturbs_conjugate_states():
     trials = 20_000
     reg = QuantumRegistry()
     pairs = reg.allocate(trials)
-    prepared = reg.measure(pairs, 0, "X", rng)  # half 0 holds an X eigenstate
+    prepared = reg.measure(ParticleBlock(reg, pairs, 0), "X", rng)  # half 0 holds an X eigenstate
     hook.intercept(ParticleBlock(reg, pairs, 0))
-    errors = int((reg.measure(pairs, 0, "X", rng) != prepared).sum())
+    errors = int((reg.measure(ParticleBlock(reg, pairs, 0), "X", rng) != prepared).sum())
     assert_frequency(errors, trials, 0.5, 5.0)
 
 
@@ -368,7 +368,7 @@ def test_intercept_resend_joint_outcomes_match_exact_oracle(basis):
     for code in ((0, 0), (0, 1), (1, 0), (1, 1)):
         reg = QuantumRegistry()
         pairs = reg.allocate(n)
-        reg.apply_pauli(pairs, 0, x=code[1], z=code[0])
+        reg.apply_pauli(ParticleBlock(reg, pairs, 0), x=code[1], z=code[0])
         halves = np.tile([0, 1], n)
         draws = cells[:, :2].ravel()  # the stream is half 0, half 1 of each pair
         if basis == "random":  # the hook draws "Z" = 0, "X" = 1 per particle

@@ -1,6 +1,7 @@
 """Config validation, persistence, digests, and code arithmetic."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -129,6 +130,16 @@ def test_noise_spec_diagnostics():
     assert any("kind" in d for d in NoiseSpec("thermal", 0.1).diagnostics())
     assert any("probability" in d for d in NoiseSpec("bit-flip", 1.5).diagnostics())
     assert isinstance(NoiseSpec("bit-flip", 0.2).to_channel(), NoiseChannel)
+
+
+def test_equal_noise_specs_share_one_read_only_channel():
+    channel = NoiseSpec("depolarizing", 0.01).to_channel()
+    assert NoiseSpec("depolarizing", 0.01).to_channel() is channel
+    assert NoiseSpec("depolarizing", 0.02).to_channel() is not channel
+    # the shared channel's tables cannot be changed by one run for the next
+    for table in (channel._cumulative, channel._codes):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 def test_adversary_spec_diagnostics():
@@ -349,6 +360,17 @@ def test_config_digest_stable_and_content_sensitive():
     assert config_digest(with_adv) != config_digest(
         pop_config(seed=5, adversary=AdversarySpec("probe", theta=0.2))
     )
+
+
+def test_config_digest_is_memoized_per_instance():
+    config = pop_config(seed=5)
+    digest = config_digest(config)
+    assert config_digest(config) is digest  # computed once, then reused
+    assert digest == config_digest(pop_config(seed=5))
+    # a replaced copy is a new instance, with its own digest
+    moved = dataclasses.replace(config, seed=6)
+    assert config_digest(moved) == config_digest(pop_config(seed=6)) != digest
+    assert config_digest(config) == digest
 
 
 # digests of the shipped configs, recorded before the bit-string parsing

@@ -34,7 +34,7 @@ from orthosim.protocols import (
     run_pop_qsdc,
     run_stream_qkd,
 )
-from orthosim.quantum import BellOutcome
+from orthosim.quantum import BellOutcome, QuantumRegistry
 from orthosim.transport import Transcript
 
 from conftest import assert_frequency, binomial_margin
@@ -440,6 +440,45 @@ def test_large_stream_run_memory_stays_small():
         tracemalloc.stop()
     assert res.outcome == "completed"
     assert peak < 30e6
+
+
+def test_large_pop_run_memory_stays_small():
+    # a particle block holds one slot array, and no second per-particle one
+    config = pop(seed=2, n=100_000, message=(1, 0, 1), threshold=0.1,
+                 adversary=AdversarySpec("probe", theta=0.4),
+                 noise=NoiseSpec("depolarizing", 0.01))
+    run(pop(seed=2, n=100, message=(1,), threshold=0.1))  # warm imports and caches
+    tracemalloc.start()
+    try:
+        res = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.outcome == "completed"
+    assert peak < 36e6
+
+
+def test_each_particle_block_is_validated_once(monkeypatch):
+    # the channel, the probe and the noise act on blocks checked when they
+    # were built: a stream run checks its stream and its Bell pairs, a pop
+    # run its two blocks and its three Bell-measured pair sets
+    calls = []
+    validate = QuantumRegistry.slots
+
+    def counted(registry, pairs, qubits):
+        calls.append(np.size(pairs))
+        return validate(registry, pairs, qubits)
+
+    monkeypatch.setattr(QuantumRegistry, "slots", counted)
+    attack = dict(adversary=AdversarySpec("probe", theta=0.4),
+                  noise=NoiseSpec("depolarizing", 0.01))
+    res = run(stream(seed=3, n=200, threshold=0.2, **attack))
+    assert res.outcome == "completed" and res.attack_report.rounds_attacked == 400
+    assert calls == [400, 200]
+    calls.clear()
+    res = run(pop(seed=3, n=200, message=(1, 0, 1), threshold=0.1, **attack))
+    assert res.outcome == "completed" and res.bob_payload == (1, 0, 1)
+    assert calls == [800, 200, 400, 200, 200]
 
 
 def test_result_serializes_to_plain_json():

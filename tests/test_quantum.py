@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from orthosim.quantum import (
     BellOutcome,
     DensityMatrix,
     NoiseChannel,
+    ParticleBlock,
     ProbeAttackSpec,
     QuantumRegistry,
     QuantumValidationError,
@@ -416,9 +418,9 @@ def test_bit_flip_error_rate():
     trials = 50_000
     reg = QuantumRegistry()
     pairs = reg.allocate(trials)
-    before = reg.measure(pairs, 0, "Z", rng)
-    reg.apply_noise(pairs, 0, NoiseChannel("bit-flip", p), rng)
-    flips = int((reg.measure(pairs, 0, "Z", rng) != before).sum())
+    before = reg.measure(ParticleBlock(reg, pairs, 0), "Z", rng)
+    reg.apply_noise(ParticleBlock(reg, pairs, 0), NoiseChannel("bit-flip", p), rng)
+    flips = int((reg.measure(ParticleBlock(reg, pairs, 0), "Z", rng) != before).sum())
     assert_frequency(flips, trials, p, 5.0)
 
 
@@ -431,7 +433,7 @@ def test_trajectories_average_to_exact_channel():
     trials = 60_000
     reg = QuantumRegistry()
     pairs = reg.allocate(trials)
-    reg.apply_noise(pairs, 0, channel, rng)
+    reg.apply_noise(ParticleBlock(reg, pairs, 0), channel, rng)
     counts = np.bincount(reg.bell_measure(pairs, rng), minlength=4)
     for outcome in BellOutcome:
         bell = ORACLE_BELL[outcome]
@@ -459,52 +461,88 @@ def test_registry_pauli_and_probe():
     rng = np.random.default_rng(32)
     reg = QuantumRegistry()
     pairs = reg.allocate()
-    reg.apply_pauli(pairs, 0, x=1, z=0)
+    reg.apply_pauli(ParticleBlock(reg, pairs, 0), x=1, z=0)
     assert reg.bell_measure(pairs, rng).tolist() == [BellOutcome.PHI_MINUS]
     # a full-strength probe leaves computational bits alone and
     # randomizes conjugate ones
     trials = 4000
     reg2 = QuantumRegistry()
     pairs2 = reg2.allocate(trials)
-    z_bits = reg2.measure(pairs2, 0, "Z", rng)
-    x_bits = reg2.measure(pairs2, 1, "X", rng)
+    z_bits = reg2.measure(ParticleBlock(reg2, pairs2, 0), "Z", rng)
+    x_bits = reg2.measure(ParticleBlock(reg2, pairs2, 1), "X", rng)
     for half in (0, 1):
-        reg2.attach_probe(pairs2, half, ProbeAttackSpec(math.pi / 2), rng)
-    assert (reg2.measure(pairs2, 0, "Z", rng) == z_bits).all()
-    changed = int((reg2.measure(pairs2, 1, "X", rng) != x_bits).sum())
+        reg2.attach_probe(ParticleBlock(reg2, pairs2, half), ProbeAttackSpec(math.pi / 2), rng)
+    assert (reg2.measure(ParticleBlock(reg2, pairs2, 0), "Z", rng) == z_bits).all()
+    changed = int((reg2.measure(ParticleBlock(reg2, pairs2, 1), "X", rng) != x_bits).sum())
     assert_frequency(changed, trials, 0.5, 5.0)
 
 
 def test_registry_unknown_particle():
     reg = QuantumRegistry()
     with pytest.raises(QuantumValidationError):
-        reg.measure([99], 0, "Z", np.random.default_rng(0))
+        ParticleBlock(reg, [99], 0)
     reg.allocate()
     with pytest.raises(QuantumValidationError):
-        reg.measure([0], 2, "Z", np.random.default_rng(0))  # a pair holds two qubits
+        ParticleBlock(reg, [0], 2)  # a pair holds two qubits
     with pytest.raises(QuantumValidationError):
-        reg.apply_pauli([0, 0], 1, x=1, z=0)  # one particle twice in one call
+        ParticleBlock(reg, [0, 0], 1)  # one particle twice in one block
     with pytest.raises(QuantumValidationError):
-        reg.measure([0], 0, "Y", np.random.default_rng(0))
-    with pytest.raises(QuantumValidationError):
-        reg.attach_probe([0], 2, ProbeAttackSpec(0.1), np.random.default_rng(0))
+        reg.measure(ParticleBlock(reg, [0], 0), "Y", np.random.default_rng(0))
+    other = QuantumRegistry()
+    other.allocate()
+    for op in _block_ops(reg, np.random.default_rng(0)).values():
+        with pytest.raises(QuantumValidationError, match="another registry"):
+            op(ParticleBlock(other, [0], 0))
     for qubits in (2, [2]):
         with pytest.raises(QuantumValidationError, match="qubits 0 and 1 only"):
-            reg.apply_pauli([0], qubits, x=1, z=0)
+            ParticleBlock(reg, [0], qubits)
     with pytest.raises(QuantumValidationError, match="appears twice"):
-        reg.apply_pauli([0, 0, 0], [0, 1, 0], x=1, z=0)  # (0, half 0) twice, mixed halves
-    reg.apply_pauli([0, 0], [0, 1], x=1, z=0)  # both halves of one pair: X X |singlet>
+        ParticleBlock(reg, [0, 0, 0], [0, 1, 0])  # (0, half 0) twice, mixed halves
+    reg.apply_pauli(ParticleBlock(reg, [0, 0], [0, 1]), x=1, z=0)  # X X |singlet>, both halves
     # no rejected call touched the pair, and X on both halves is a phase
     assert reg.bell_measure([0], np.random.default_rng(0)).tolist() == [BellOutcome.PSI_MINUS]
 
 
-def _slot_aliasing_ops(reg, rng):
-    """Each per-half registry operation as f(pairs, qubits)."""
+def test_duplicate_check_cost_grows_with_the_call_not_the_pair_index():
+    # one pair near the end of a large registry: no table over every slot
+    reg = QuantumRegistry()
+    last = reg.allocate(3_000_000)[-1]
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        outcome = reg.bell_measure([last], rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.tolist() == [BellOutcome.PSI_MINUS]
+    assert peak < 1e6
+    # far-apart particles, checked by sorting: a repeat is still found
+    with pytest.raises(QuantumValidationError, match="appears twice"):
+        ParticleBlock(reg, [last, 0, 5, last], 1)
+    with pytest.raises(QuantumValidationError, match="appears twice"):
+        ParticleBlock(reg, [last, 0, 5, last], [0, 1, 1, 0])
+    assert len(ParticleBlock(reg, [last, 0, 5, last], [0, 1, 1, 1])) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**40), max_size=30),
+    st.lists(st.integers(0, 40), max_size=30),
+)
+def test_repeats_agrees_with_a_set(sparse, dense):
+    # sparse values take the sort, dense ones the byte marks
+    for values in (sparse, dense, sparse + dense):
+        got = quantum._repeats(np.array(values, dtype=np.intp))
+        assert got == (len(set(values)) < len(values))
+
+
+def _block_ops(reg, rng):
+    """Each per-half registry operation as f(block)."""
     return {
-        "apply_pauli": lambda p, q: reg.apply_pauli(p, q, x=1, z=1),
-        "apply_noise": lambda p, q: reg.apply_noise(p, q, NoiseChannel("bit-flip", 0.0), rng),
-        "attach_probe": lambda p, q: reg.attach_probe(p, q, ProbeAttackSpec(math.pi / 2), rng),
-        "measure": lambda p, q: reg.measure(p, q, "X", rng),
+        "apply_pauli": lambda b: reg.apply_pauli(b, x=1, z=1),
+        "apply_noise": lambda b: reg.apply_noise(b, NoiseChannel("bit-flip", 0.0), rng),
+        "attach_probe": lambda b: reg.attach_probe(b, ProbeAttackSpec(math.pi / 2), rng),
+        "measure": lambda b: reg.measure(b, "X", rng),
     }
 
 
@@ -515,7 +553,11 @@ def test_registry_halves_never_alias_a_neighbour(op):
     rng = np.random.default_rng(41)
     reg = QuantumRegistry()
     reg.allocate(2)
-    call = _slot_aliasing_ops(reg, rng)[op]
+    block_op = _block_ops(reg, rng)[op]
+
+    def call(pairs, qubits):
+        block_op(ParticleBlock(reg, pairs, qubits))
+
     for pairs, qubits in (([0], [2]), ([1], [-1]), ([0], 2), ([1], -1), ([0, 1], [0, 2])):
         with pytest.raises(QuantumValidationError, match="qubits 0 and 1 only"):
             call(pairs, qubits)
@@ -533,7 +575,7 @@ def test_noise_checks_every_particle_even_when_nothing_is_hit():
     reg.allocate(2)
     clean = NoiseChannel("depolarizing", 0.0)
     with pytest.raises(QuantumValidationError, match="appears twice"):
-        reg.apply_noise([1, 0, 1], [0, 1, 0], clean, np.random.default_rng(0))
+        reg.apply_noise(ParticleBlock(reg, [1, 0, 1], [0, 1, 0]), clean, np.random.default_rng(0))
 
 
 def test_noise_channel_tables_stay_out_of_equality_and_repr():
@@ -560,12 +602,12 @@ def test_registry_rejects_exponents_other_than_0_and_1(x, z, named):
     rng = np.random.default_rng(37)
     reg = QuantumRegistry()
     frame, product = reg.allocate(2)
-    before = reg.measure([product], 0, "Z", rng)
+    before = reg.measure(ParticleBlock(reg, [product], 0), "Z", rng)
     for pair in (frame, product):
         with pytest.raises(QuantumValidationError, match=re.escape(named)):
-            reg.apply_pauli([pair], 1, x=x, z=z)
+            reg.apply_pauli(ParticleBlock(reg, [pair], 1), x=x, z=z)
     assert reg.bell_measure([frame], rng).tolist() == [BellOutcome.PSI_MINUS]
-    assert (reg.measure([product], 0, "Z", rng) == before).all()
+    assert (reg.measure(ParticleBlock(reg, [product], 0), "Z", rng) == before).all()
 
 
 def test_registry_dense_codes_match_exact_encoding():
@@ -577,7 +619,7 @@ def test_registry_dense_codes_match_exact_encoding():
     for half in (0, 1):
         reg = QuantumRegistry()
         pairs = reg.allocate(len(codes))
-        reg.apply_pauli(pairs, half, x=bits[:, 1], z=bits[:, 0])
+        reg.apply_pauli(ParticleBlock(reg, pairs, half), x=bits[:, 1], z=bits[:, 0])
         exact = [bell_measure(dense_encode(c, singlet(), half), 0, 1, rng)[0] for c in codes]
         assert reg.bell_measure(pairs, rng).tolist() == exact
 
@@ -589,12 +631,12 @@ def test_registry_measure_matches_exact_measurement():
     trials = 20_000
     reg = QuantumRegistry()
     pairs = reg.allocate(trials)
-    outcomes = reg.measure(pairs, 0, "X", rng)
+    outcomes = reg.measure(ParticleBlock(reg, pairs, 0), "X", rng)
     assert_frequency(int(outcomes.sum()), trials, 0.5, 5.0)
-    again = reg.measure(pairs, 0, "X", rng)
+    again = reg.measure(ParticleBlock(reg, pairs, 0), "X", rng)
     assert (again == outcomes).all()
     # the far half is left in the opposite X eigenstate
-    assert (reg.measure(pairs, 1, "X", rng) == 1 - outcomes).all()
+    assert (reg.measure(ParticleBlock(reg, pairs, 1), "X", rng) == 1 - outcomes).all()
 
 
 def test_registry_collapses_half_0_before_half_1_in_one_call():
@@ -603,7 +645,8 @@ def test_registry_collapses_half_0_before_half_1_in_one_call():
     trials = 1000
     reg = QuantumRegistry()
     pairs = reg.allocate(trials)
-    got = reg.measure(np.repeat(pairs, 2), np.tile([1, 0], trials), "Z", np.random.default_rng(36))
+    block = ParticleBlock(reg, np.repeat(pairs, 2), np.tile([1, 0], trials))
+    got = reg.measure(block, "Z", np.random.default_rng(36))
     half0 = np.random.default_rng(36).random(2 * trials)[1::2] >= 0.5
     assert (got[1::2] == half0).all()
     assert (got[0::2] == 1 - half0).all()
@@ -617,7 +660,7 @@ def test_registry_noise_trajectory_frequencies():
     p = 0.4
     reg = QuantumRegistry()
     pairs = reg.allocate(trials)
-    reg.apply_noise(pairs, 0, NoiseChannel("depolarizing", p), rng)
+    reg.apply_noise(ParticleBlock(reg, pairs, 0), NoiseChannel("depolarizing", p), rng)
     counts = np.bincount(reg.bell_measure(pairs, rng), minlength=4)
     for outcome in BellOutcome:
         expected = 1.0 - 0.75 * p if outcome == BellOutcome.PSI_MINUS else 0.25 * p
@@ -667,12 +710,12 @@ def test_engine_bell_probabilities_match_exact_oracle(theta, channel):
     for code in ((0, 0), (0, 1), (1, 0), (1, 1)):
         reg = QuantumRegistry()
         pairs = reg.allocate(len(branches))
-        reg.apply_pauli(pairs, 0, x=code[1], z=code[0])
+        reg.apply_pauli(ParticleBlock(reg, pairs, 0), x=code[1], z=code[0])
         for half in (0, 1):  # per half: intercept, then noise
             flips = np.array([branch[half][1] for branch in branches])
-            reg.apply_pauli(pairs, half, x=0, z=flips)
+            reg.apply_pauli(ParticleBlock(reg, pairs, half), x=0, z=flips)
             xz = np.array([branch[half][2] for branch in branches])
-            reg.apply_pauli(pairs, half, x=xz[:, 0], z=xz[:, 1])
+            reg.apply_pauli(ParticleBlock(reg, pairs, half), x=xz[:, 0], z=xz[:, 1])
         outcomes = reg.bell_measure(pairs, np.random.default_rng(0))
         engine = np.bincount(outcomes, weights=weights, minlength=4)
         np.testing.assert_allclose(
@@ -773,7 +816,14 @@ def test_registry_matches_reference_in_lockstep(seed):
         else:
             name, args = "bell_measure", (script.permutation(n)[: script.integers(1, n + 1)],)
         draws = name not in ("allocate", "apply_pauli")  # these take no generator
-        got, want = (getattr(reg, name)(*args, *[rng][:draws]) for reg, rng in zip(engines, rngs))
+        # the engine takes the particles as one block, the reference as (pairs, halves)
+        engine_args = args
+        if name not in ("allocate", "bell_measure"):
+            engine_args = (ParticleBlock(engines[0], *args[:2]), *args[2:])
+        got, want = (
+            getattr(reg, name)(*a, *[rng][:draws])
+            for reg, a, rng in zip(engines, (engine_args, args), rngs)
+        )
         assert np.array_equal(got, want) if want is not None else got is None
         assert engines[0]._code.tolist() == _reference_codes(engines[1]).tolist()
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
@@ -807,6 +857,7 @@ def test_noise_branch_edges(engine, channel, paulis):
     draws = sorted(float(d) for d in edges if 0 <= d < 1)
     reg = engine()
     pairs = reg.allocate(len(draws))
-    reg.apply_noise(pairs, 0, channel, _FixedDraws(*draws))
+    particles = (ParticleBlock(reg, pairs, 0),) if engine is QuantumRegistry else (pairs, 0)
+    reg.apply_noise(*particles, channel, _FixedDraws(*draws))
     outcomes = reg.bell_measure(pairs, np.random.default_rng(0)).tolist()
     assert outcomes == [_SINGLET_OUTCOME[p] for p in paulis]

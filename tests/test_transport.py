@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthosim.gpt import FiducialSpec, GbitBlock
-from orthosim.quantum import NoiseChannel, QuantumRegistry
+from orthosim import quantum
+from orthosim.quantum import NoiseChannel, QuantumRegistry, QuantumValidationError
 from orthosim import transport
 from orthosim.transport import (
     Channel,
@@ -111,9 +112,10 @@ def test_conservation_of_carriers():
 
 
 def test_duplicate_particles_in_one_block_rejected():
+    # the block is checked once, by the pair engine, when it is built
     reg = QuantumRegistry()
     reg.allocate()
-    with pytest.raises(TransportError):
+    with pytest.raises(QuantumValidationError):
         Channel().send_block(ParticleBlock(reg, [0, 0], [1, 1]), np.arange(2))
     Channel().send_block(ParticleBlock(reg, [0, 0], [0, 1]), np.arange(2))
 
@@ -135,7 +137,7 @@ def test_duplicate_particles_in_one_block_rejected():
 def test_particle_block_rejects_particles_not_in_the_registry(pairs, qubits, named):
     reg = QuantumRegistry()
     reg.allocate(2)
-    with pytest.raises(TransportError, match=named):
+    with pytest.raises(QuantumValidationError, match=named):
         ParticleBlock(reg, pairs, qubits)
 
 
@@ -149,6 +151,33 @@ def test_particle_blocks_compare_by_identity():
     assert a == a and a != b
     assert len({a, b}) == 2  # hashable, by identity
     assert a.take([1, 0]) != a
+
+
+def test_particle_block_is_the_pair_engine_block():
+    import orthosim
+
+    assert transport.ParticleBlock is quantum.ParticleBlock is orthosim.ParticleBlock
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_take_keeps_the_slots_of_the_taken_particles(data):
+    # a part is never checked again, so its slots must be the source's own
+    num_pairs = data.draw(st.integers(1, 10))
+    particles = data.draw(st.lists(st.integers(0, 2 * num_pairs - 1), min_size=1, unique=True))
+    reg = QuantumRegistry()
+    reg.allocate(num_pairs)
+    source = ParticleBlock(reg, np.array(particles) >> 1, np.array(particles) & 1)
+    size = len(source)
+    gather = np.array(
+        data.draw(st.lists(st.integers(0, size - 1), unique=True)), dtype=np.intp
+    )
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    step = slice(data.draw(st.integers(0, size)), None, data.draw(st.integers(1, 3)))
+    for index in (gather, mask, step):
+        part = source.take(index)
+        assert part.registry is reg
+        assert part.slots.tolist() == (2 * source.pairs[index] + source.qubits[index]).tolist()
 
 
 @pytest.mark.parametrize(
@@ -240,8 +269,8 @@ def test_full_strength_bit_flip_in_transit():
     )
     channel.send_block(ParticleBlock(reg, pairs, 0), None)
     rng = np.random.default_rng(5)
-    a = reg.measure(pairs, 0, "Z", rng)
-    b = reg.measure(pairs, 1, "Z", rng)
+    a = reg.measure(ParticleBlock(reg, pairs, 0), "Z", rng)
+    b = reg.measure(ParticleBlock(reg, pairs, 1), "Z", rng)
     assert a == b  # the flip turns anticorrelation into correlation
 
 
