@@ -179,14 +179,15 @@ class GltInterceptResend(EveHook):
     def intercept(self, carrier):
         if not isinstance(carrier, GbitBlock):
             raise AdversaryError("fiducial intercept-resend needs a gbit block")
-        attacked = np.arange(len(carrier))
+        attacked = None  # every gbit: measured in place, no copies
         if self.attack_fraction < 1.0:
             attacked = np.flatnonzero(self.rng.random(len(carrier)) < self.attack_fraction)
-        fiducials = self.rng.integers(0, carrier.spec.num_fiducials, size=attacked.size)
-        outcomes, post = measure_fiducial(carrier.take(attacked), fiducials, self.rng)
+        target = carrier if attacked is None else carrier.take(attacked)
+        fiducials = self.rng.integers(0, carrier.spec.num_fiducials, size=len(target))
+        outcomes, post = measure_fiducial(target, fiducials, self.rng)
         self.observations.append((fiducials, outcomes))
-        self.rounds_attacked += attacked.size
-        return carrier.put(attacked, post)
+        self.rounds_attacked += len(target)
+        return post if attacked is None else carrier.put(attacked, post)
 
 
 class QuantumInterceptResend(EveHook):

@@ -52,14 +52,24 @@ class FiducialSpec:
             )
 
 
-@dataclass(frozen=True)
+def _indices(values, name: str) -> np.ndarray:
+    """values as an intp array; non-empty ones of a non-integer dtype are refused."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise GptValidationError(f"{name} must be integers, got dtype {values.dtype}")
+    return values.astype(np.intp, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
 class GbitBlock:
     """Gbits as index arrays, one entry per gbit.
 
     Where ``fiducials[i]`` is -1, gbit ``i`` is the pristine codeword that
     answers every fiducial with ``outcomes[i]``.  Otherwise a measurement
     of fiducial ``fiducials[i]`` saw ``outcomes[i]``: that row is a point
-    mass there and every other row is uniform.
+    mass there and every other row is uniform.  A block is checked when
+    built; :meth:`take`, :meth:`put` and :func:`measure_fiducial` build
+    theirs unchecked.  Blocks compare by identity.
     """
 
     spec: FiducialSpec
@@ -67,9 +77,9 @@ class GbitBlock:
     fiducials: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        outcomes = np.asarray(self.outcomes, dtype=np.intp).reshape(-1)
+        outcomes = _indices(self.outcomes, "outcomes").reshape(-1)
         fiducials = np.broadcast_to(
-            np.asarray(-1 if self.fiducials is None else self.fiducials, dtype=np.intp),
+            _indices(-1 if self.fiducials is None else self.fiducials, "fiducials"),
             outcomes.shape,
         )
         if outcomes.size and (outcomes.min() < 0 or outcomes.max() >= self.spec.num_outcomes):
@@ -88,17 +98,27 @@ class GbitBlock:
 
     def take(self, index) -> "GbitBlock":
         """The gbits at ``index`` (gather semantics, or a mask)."""
-        return GbitBlock(self.spec, self.outcomes[index], self.fiducials[index])
+        outcomes, fiducials = self.outcomes[index], self.fiducials[index]
+        return _unchecked(self.spec, outcomes.reshape(-1), fiducials.reshape(-1))
 
     def put(self, index, block: "GbitBlock") -> "GbitBlock":
         """This block with the gbits at ``index`` replaced by ``block``'s."""
+        if block.spec != self.spec:
+            raise GptValidationError(f"cannot put gbits of {block.spec} into gbits of {self.spec}")
         outcomes, fiducials = self.outcomes.copy(), self.fiducials.copy()
         outcomes[index], fiducials[index] = block.outcomes, block.fiducials
-        return GbitBlock(self.spec, outcomes, fiducials)
+        return _unchecked(self.spec, outcomes, fiducials)
+
+
+def _unchecked(spec: FiducialSpec, outcomes: np.ndarray, fiducials: np.ndarray) -> GbitBlock:
+    """A block of 1-D intp arrays already valid for ``spec``, not checked again."""
+    block = object.__new__(GbitBlock)
+    block.__dict__.update(spec=spec, outcomes=outcomes, fiducials=fiducials)
+    return block
 
 
 def _check_fiducials(block: GbitBlock, fiducials) -> np.ndarray:
-    fiducials = np.broadcast_to(np.asarray(fiducials, dtype=np.intp), (len(block),))
+    fiducials = np.broadcast_to(_indices(fiducials, "fiducial indices"), (len(block),))
     if fiducials.size and (fiducials.min() < 0 or fiducials.max() >= block.spec.num_fiducials):
         raise GptValidationError(
             f"fiducial indices must lie in [0, {block.spec.num_fiducials})"
@@ -123,5 +143,6 @@ def sample_outcome(block: GbitBlock, fiducials, rng) -> np.ndarray:
 def measure_fiducial(block: GbitBlock, fiducials, rng) -> tuple[np.ndarray, GbitBlock]:
     """Measure ``fiducials[i]`` on gbit ``i``: sample the outcomes, then
     return them with the maximally disturbed post-measurement block."""
-    outcomes = sample_outcome(block, fiducials, rng)
-    return outcomes, GbitBlock(block.spec, outcomes, fiducials)
+    outcomes = sample_outcome(block, fiducials, rng)  # checks the fiducials
+    fiducials = np.broadcast_to(np.asarray(fiducials, dtype=np.intp), outcomes.shape)
+    return outcomes, _unchecked(block.spec, outcomes, fiducials)

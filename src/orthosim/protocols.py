@@ -274,18 +274,24 @@ def _glt_exchange(config: ProtocolConfig, rng, rng_eve, trials: int):
     shape = (trials, config.num_gbits)
 
     bits = rng.integers(0, 2, size=shape)
-    sent = GbitBlock(theory, bits * top)
-    delivered = channel.send_block(sent, None, sender="alice")
+    codewords = bits * top
+    delivered = channel.send_block(GbitBlock(theory, codewords), None, sender="alice")
     fiducials = rng.integers(0, theory.num_fiducials, size=len(delivered))
     outcomes = sample_outcome(delivered, fiducials, rng).reshape(shape)
 
     num_checks = round(config.check_fraction * config.num_gbits)
-    check_coords = np.sort(np.argsort(rng.random(shape), axis=1)[:, :num_checks], axis=1)
-    checked = np.take_along_axis(outcomes, check_coords, axis=1)
+    if num_checks == config.num_gbits:  # any order selects them all
+        rng.random(shape)  # drawn all the same: the stream ends where a partial check leaves it
+        check_coords = np.broadcast_to(np.arange(num_checks), shape)
+        checked, expected = outcomes, codewords
+    else:
+        check_coords = np.sort(np.argsort(rng.random(shape), axis=1)[:, :num_checks], axis=1)
+        checked = np.take_along_axis(outcomes, check_coords, axis=1)
+        expected = np.take_along_axis(codewords, check_coords, axis=1)
     channel.broadcast(check_coords, "alice", f"check coords n={num_checks}")
     channel.broadcast(checked, "bob", f"check outcomes n={num_checks}")
     # codewords are deterministic in every fiducial, so expectation is exact
-    events = checked != np.take_along_axis(bits, check_coords, axis=1) * top
+    events = checked != expected
     return channel, hook, bits, outcomes, check_coords, events
 
 

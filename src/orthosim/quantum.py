@@ -193,6 +193,14 @@ def _repeats(values: np.ndarray) -> bool:
     return np.count_nonzero(seen) < values.size
 
 
+def _indices(values, name: str) -> np.ndarray:
+    """values as an intp array; non-empty ones of a non-integer dtype are refused."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise QuantumValidationError(f"{name} must be integers, got dtype {values.dtype}")
+    return values.astype(np.intp, copy=False)
+
+
 def _halves(slots: np.ndarray) -> list[tuple[int, np.ndarray | slice, np.ndarray]]:
     """Validated slots by half, half 0 first: (half, call positions, pairs)."""
     odd = slots & 1
@@ -239,11 +247,11 @@ class QuantumRegistry:
         pass: halves by a bitwise test, pairs by an unsigned range test,
         duplicates by :func:`_repeats` (on the pairs when one half covers
         the call)."""
-        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1)
+        pairs = _indices(pairs, "pair indices").reshape(-1)
         if isinstance(qubits, (int, np.integer)):  # one half for the whole call
             halves_ok = qubits in (0, 1)
         else:
-            qubits = np.asarray(qubits, dtype=np.intp)
+            qubits = _indices(qubits, "halves")
             if qubits.shape not in ((), pairs.shape):
                 raise QuantumValidationError(f"{qubits.size} halves for {pairs.size} pairs")
             halves_ok = not np.count_nonzero(qubits & -2)

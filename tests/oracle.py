@@ -23,6 +23,14 @@ dense enumeration of every placement, the oracles for
 
 ``RecordingHook`` is a transparent wiretap that keeps every block the
 channel hands it, so tests can audit exactly what the adversary saw.
+
+``reference_glt_exchange`` is the GLT-2S exchange as first written: it
+selects the check coordinates by argsort and gathers them with
+``take_along_axis`` whatever the check fraction, and its intercept-resend
+copies the attacked gbits out and back in through fully checked blocks
+even when every gbit is attacked.  ``orthosim.protocols._glt_exchange``
+skips that work where it selects everything; it must match this exchange
+draw for draw.
 """
 
 import itertools
@@ -33,6 +41,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from orthosim.adversary import AdversaryError
+from orthosim.gpt import GbitBlock, sample_outcome
 from orthosim.metrics import SweepPoint, binary_entropy
 from orthosim.quantum import (
     MAX_QUBITS,
@@ -594,3 +603,58 @@ class RecordingHook(EveHook):
     def intercept(self, carrier):
         self.blocks.append(carrier)
         return carrier
+
+
+# ---------------------------------------------------------------- GLT-2S exchange
+
+
+class ReferenceGltInterceptResend:
+    """Fiducial intercept-resend drawing as ``GltInterceptResend`` does,
+    with every block it builds checked: the attacked gbits, the
+    post-measurement gbits and the forwarded block."""
+
+    def __init__(self, rng: np.random.Generator, attack_fraction: float) -> None:
+        self.rng = rng
+        self.attack_fraction = attack_fraction
+        self.observations: list[tuple[np.ndarray, np.ndarray]] = []
+        self.rounds_attacked = 0
+
+    def intercept(self, carrier: GbitBlock) -> GbitBlock:
+        spec = carrier.spec
+        attacked = np.arange(len(carrier))
+        if self.attack_fraction < 1.0:
+            attacked = np.flatnonzero(self.rng.random(len(carrier)) < self.attack_fraction)
+        part = GbitBlock(spec, carrier.outcomes[attacked], carrier.fiducials[attacked])
+        fiducials = self.rng.integers(0, spec.num_fiducials, size=attacked.size)
+        outcomes = sample_outcome(part, fiducials, self.rng)
+        post = GbitBlock(spec, outcomes, fiducials)
+        self.observations.append((fiducials, outcomes))
+        self.rounds_attacked += attacked.size
+        merged_outcomes, merged_fiducials = carrier.outcomes.copy(), carrier.fiducials.copy()
+        merged_outcomes[attacked], merged_fiducials[attacked] = post.outcomes, post.fiducials
+        return GbitBlock(spec, merged_outcomes, merged_fiducials)
+
+
+def reference_glt_exchange(config, rng, rng_eve, trials: int):
+    """``trials`` gbit exchanges on the streams of ``_glt_exchange``,
+    without its channel log.
+
+    Returns (hook, bits, outcomes, check_coords, events), the hook a
+    ``ReferenceGltInterceptResend`` or None without an adversary.
+    """
+    theory = config.fiducial
+    top = theory.num_outcomes - 1
+    shape = (trials, config.num_gbits)
+    bits = rng.integers(0, 2, size=shape)
+    delivered = GbitBlock(theory, bits * top)
+    hook = None
+    if config.adversary is not None:
+        hook = ReferenceGltInterceptResend(rng_eve, config.adversary.attack_fraction)
+        delivered = hook.intercept(delivered)
+    fiducials = rng.integers(0, theory.num_fiducials, size=len(delivered))
+    outcomes = sample_outcome(delivered, fiducials, rng).reshape(shape)
+    num_checks = round(config.check_fraction * config.num_gbits)
+    check_coords = np.sort(np.argsort(rng.random(shape), axis=1)[:, :num_checks], axis=1)
+    checked = np.take_along_axis(outcomes, check_coords, axis=1)
+    events = checked != np.take_along_axis(bits, check_coords, axis=1) * top
+    return hook, bits, outcomes, check_coords, events

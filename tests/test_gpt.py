@@ -82,6 +82,20 @@ def test_state_shape_enforced():
         sample_outcome(GbitBlock(TWO_TWO, [0, 1]), [0, 1, 0], np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda rng: GbitBlock(TWO_TWO, [0.9, 1.7]),
+    lambda rng: GbitBlock(TWO_TWO, [0, 1], fiducials=[0.2, -0.5]),
+    lambda rng: sample_outcome(GbitBlock(TWO_TWO, [0, 1]), [0.5, 1.9], rng),
+    lambda rng: measure_fiducial(GbitBlock(TWO_TWO, [0, 1]), 0.5, rng),
+], ids=["outcomes", "fiducials", "sample-outcome", "measure-fiducial"])
+def test_non_integer_indices_are_rejected(call):
+    # a float index used to be truncated to a valid outcome or fiducial
+    with pytest.raises(GptValidationError, match="must be integers, got dtype float64"):
+        call(np.random.default_rng(0))
+    empty = GbitBlock(TWO_TWO, [], fiducials=[])  # an empty list has no dtype to check
+    assert sample_outcome(empty, [], np.random.default_rng(0)).size == 0
+
+
 def test_spec_bounds():
     with pytest.raises(GptValidationError):
         FiducialSpec(0, 2)
@@ -98,6 +112,22 @@ def test_block_take_and_put():
     assert merged.outcomes.tolist() == [2, 1, 2, 3]
     assert merged.fiducials.tolist() == [1, -1, 1, -1]
     assert block.fiducials.tolist() == [-1] * 4  # the original is untouched
+
+
+def test_put_rejects_gbits_of_another_theory():
+    # put checks no gbit again, so gbits valid for another spec must not pass
+    block = GbitBlock(TWO_TWO, [0, 1])
+    with pytest.raises(GptValidationError, match="cannot put gbits"):
+        block.put([0], GbitBlock(FiducialSpec(2, 4), [3]))
+    assert block.put([0], GbitBlock(FiducialSpec(2, 2), [1])).outcomes.tolist() == [1, 1]
+
+
+def test_blocks_compare_by_identity():
+    # a generated __eq__ would compare the arrays and raise on their truth value
+    block = GbitBlock(TWO_TWO, [0, 1])
+    assert block == block
+    assert block != GbitBlock(TWO_TWO, [0, 1])
+    assert block in [GbitBlock(TWO_TWO, [0, 1]), block]
 
 
 # ---------------------------------------------------------------- measurement

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from orthosim.adversary import escape_probability, pop_eve_information, stream_eve_information
@@ -17,13 +19,16 @@ from orthosim.config import (
     ProtocolConfig,
     derive_seed,
 )
-from orthosim.gpt import FiducialSpec
+from orthosim import gpt
+from orthosim.gpt import FiducialSpec, GbitBlock
 from orthosim.metrics import binary_entropy
 from orthosim.protocols import (
     EscapeEstimate,
     ProtocolError,
     RESULT_SCHEMA,
     RunResult,
+    _glt_exchange,
+    _rng_streams,
     block_reduce,
     decode_bell_bits,
     derive_qka,
@@ -38,6 +43,7 @@ from orthosim.quantum import BellOutcome, QuantumRegistry
 from orthosim.transport import Transcript
 
 from conftest import assert_frequency, binomial_margin
+from oracle import reference_glt_exchange
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -266,6 +272,80 @@ def test_escape_trials_reference_is_bit_identical_at_full_check_and_attack():
             adversary=AdversarySpec("glt-intercept-resend"),
         )
         assert glt_escape_trials(cfg, 1, seed=0).analytic == escape_probability(j, k, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    j=st.integers(2, 4), k=st.integers(2, 4), n=st.integers(1, 12),
+    f=st.sampled_from((0.3, 0.5, 1.0)), a=st.sampled_from((None, 0.3, 0.5, 1.0)),
+    trials=st.integers(1, 50), seed=st.integers(0, 2**32 - 1),
+)
+def test_glt_exchange_matches_reference_draw_for_draw(j, k, n, f, a, trials, seed):
+    # no sort for a full check and no copies for a full attack, with every
+    # draw and every result as in the exchange that did both
+    assume(round(f * n) >= 1)
+    adversary = None if a is None else AdversarySpec("glt-intercept-resend", attack_fraction=a)
+    cfg = ProtocolConfig(kind="glt2s", fiducial=FiducialSpec(j, k), num_gbits=n,
+                         check_fraction=f, adversary=adversary)
+    streams, ref_streams = _rng_streams(cfg, seed)[:2], _rng_streams(cfg, seed)[:2]
+    _, hook, bits, outcomes, coords, events = _glt_exchange(cfg, *streams, trials)
+    ref_hook, ref_bits, ref_outcomes, ref_coords, ref_events = reference_glt_exchange(
+        cfg, *ref_streams, trials)
+    for got, want in ((bits, ref_bits), (outcomes, ref_outcomes),
+                      (coords, ref_coords), (events, ref_events)):
+        assert got.shape == want.shape and (got == want).all()
+    for got, want in zip(streams, ref_streams):  # every stream ends where it did
+        assert got is want is None or got.bit_generator.state == want.bit_generator.state
+    escapes = trials - int(ref_events.any(axis=1).sum())
+    assert glt_escape_trials(cfg, trials, seed=seed).escapes == escapes
+    if a is None:
+        assert hook is None and ref_hook is None
+        return
+    assert hook.rounds_attacked == ref_hook.rounds_attacked
+    assert len(hook.observations) == len(ref_hook.observations) == 1
+    for got, want in zip(hook.observations[0], ref_hook.observations[0]):
+        assert (got == want).all()
+
+
+def test_glt_escape_memory_stays_small():
+    # a full check sorts nothing and a full attack copies nothing, so
+    # 10**6 gbit-trials hold about seven int64 arrays at the peak
+    cfg = ProtocolConfig(kind="glt2s", fiducial=FiducialSpec(3, 2), num_gbits=10,
+                         check_fraction=1.0, adversary=AdversarySpec("glt-intercept-resend"))
+    glt_escape_trials(cfg, 10, seed=1)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        est = glt_escape_trials(cfg, 100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.trials == 100_000
+    assert peak < 70e6
+
+
+def test_each_gbit_block_is_checked_once(monkeypatch):
+    # Alice's codewords are the one block checked; Eve's and Bob's
+    # fiducial choices are checked once each
+    blocks, fiducials = [], []
+    check_block, check_fiducials = GbitBlock.__post_init__, gpt._check_fiducials
+
+    def counted_block(block):
+        blocks.append(np.size(block.outcomes))
+        check_block(block)
+
+    def counted_fiducials(block, chosen):
+        fiducials.append(len(block))
+        return check_fiducials(block, chosen)
+
+    monkeypatch.setattr(GbitBlock, "__post_init__", counted_block)
+    monkeypatch.setattr(gpt, "_check_fiducials", counted_fiducials)
+    attack = AdversarySpec("glt-intercept-resend")
+    glt_escape_trials(glt(n=10, f=1.0, adversary=attack), 30, seed=1)
+    assert blocks == [300] and fiducials == [300, 300]
+    blocks.clear()
+    fiducials.clear()
+    res = run(glt(n=10, f=0.5, adversary=dataclasses.replace(attack, attack_fraction=0.5)))
+    assert blocks == [10] and fiducials == [res.attack_report.rounds_attacked, 10]
 
 
 def test_escape_deviations_are_calibrated_across_seeds():

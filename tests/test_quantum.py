@@ -477,6 +477,21 @@ def test_registry_pauli_and_probe():
     assert_frequency(changed, trials, 0.5, 5.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda reg, rng: ParticleBlock(reg, [0.5, 1.99], 0),
+    lambda reg, rng: ParticleBlock(reg, [0, 1], [0.0, 1.0]),
+    lambda reg, rng: reg.bell_measure([1.5], rng),
+], ids=["particle-block-pairs", "particle-block-halves", "bell-measure"])
+def test_non_integer_particle_indices_are_rejected(call):
+    # a float index used to be truncated to a valid pair or half
+    reg = QuantumRegistry()
+    reg.allocate(3)
+    with pytest.raises(QuantumValidationError, match="must be integers, got dtype float64"):
+        call(reg, np.random.default_rng(0))
+    assert len(ParticleBlock(reg, [], 0)) == 0  # an empty list has no dtype to check
+    assert reg.bell_measure([], np.random.default_rng(0)).size == 0
+
+
 def test_registry_unknown_particle():
     reg = QuantumRegistry()
     with pytest.raises(QuantumValidationError):
