@@ -78,7 +78,7 @@ _BELL_DECODE = {
     BellOutcome.PSI_PLUS: (1, 0),
     BellOutcome.PHI_PLUS: (1, 1),
 }
-_BELL_BITS = np.array([_BELL_DECODE[BellOutcome(k)] for k in range(4)], dtype=np.int64)
+_BELL_BITS = np.array([_BELL_DECODE[BellOutcome(k)] for k in range(4)], dtype=np.int8)
 
 
 class ProtocolError(ValueError):
@@ -420,19 +420,20 @@ def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunRes
 
     pairs = registry.allocate(rounds)
     alice_bits = rng.integers(0, 2, size=(rounds, 2))
-    stream = ParticleBlock(registry, *np.divmod(np.arange(2 * rounds), 2))
+    stream = ParticleBlock(registry, np.arange(2 * rounds))  # slot 2 pair + half
     _dense_encode(stream.take(slice(0, None, 2)), alice_bits)  # half 0 of each pair
     channel.send_block(stream, None, stream=True)
-    bob_bits = _BELL_BITS[registry.bell_measure(pairs, rng)]
+    bob_bits = _BELL_BITS.take(registry.bell_measure(pairs, rng), axis=0)
 
     num_checks = round(config.check_fraction * rounds)
     check_rounds = np.sort(rng.choice(rounds, size=num_checks, replace=False))
-    bob_checked = bob_bits[check_rounds]
+    # row gathers by take: fancy-indexing rows of a 2-column array is several times slower
+    bob_checked = bob_bits.take(check_rounds, axis=0)
     channel.broadcast(check_rounds, "alice", f"check rounds n={num_checks}")
     channel.broadcast(bob_checked, "bob", f"check bits n={num_checks}")
-    wrong = alice_bits[check_rounds] != bob_checked
-    events = tuple(wrong.any(axis=1).tolist())
-    error_rate = int(wrong.sum()) / (2 * num_checks)
+    wrong = alice_bits.take(check_rounds, axis=0) != bob_checked
+    events = tuple((wrong[:, 0] | wrong[:, 1]).tolist())
+    error_rate = int(np.count_nonzero(wrong)) / (2 * num_checks)
     aborted = error_rate > config.threshold
 
     if aborted:
@@ -440,8 +441,8 @@ def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunRes
     else:
         kept = np.ones(rounds, dtype=bool)
         kept[check_rounds] = False
-        alice_key = tuple(alice_bits[kept].ravel().tolist())
-        bob_key = tuple(bob_bits[kept].ravel().tolist())
+        alice_key = tuple(alice_bits.compress(kept, axis=0).ravel().tolist())
+        bob_key = tuple(bob_bits.compress(kept, axis=0).ravel().tolist())
 
     eve_info: Optional[float] = 0.0
     if isinstance(hook, ProbeAttack):
@@ -458,11 +459,14 @@ def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunRes
 
 def _bell_check(registry, pairs, compared, rng) -> tuple[np.ndarray, int]:
     """Bell-measure pairs that should still be singlets; returns the
-    detection event of each compared pair and their count of wrong bits."""
-    is_compared = np.zeros(registry.num_pairs, dtype=bool)
+    detection event of each compared pair (positions into pairs), in
+    pair order, and their count of wrong bits."""
+    is_compared = np.zeros(pairs.size, dtype=bool)
     is_compared[compared] = True
-    bits = _BELL_BITS[registry.bell_measure(pairs, rng)][is_compared[pairs]]
-    return bits.any(axis=1), int(bits.sum())
+    outcomes = registry.bell_measure(pairs, rng)[is_compared]
+    # a singlet measures PSI_MINUS, the one outcome that decodes to (0, 0)
+    wrong = int(np.count_nonzero(_BELL_BITS.take(outcomes, axis=0)))
+    return outcomes != BellOutcome.PSI_MINUS, wrong
 
 
 def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResult:
@@ -502,22 +506,23 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
     # canonical block-1 layout, in slot order: both halves of check pairs, far half otherwise
     sent = np.ones((total, 2), dtype=bool)
     sent[:, 0] = is_check
-    block1 = ParticleBlock(registry, *np.divmod(np.flatnonzero(sent), 2))
-    scramble = rng.permutation(len(block1))
-    channel.send_block(block1, scramble, sender="alice")
+    block1 = ParticleBlock(registry, np.flatnonzero(sent))  # flat index 2 pair + half: the slot
+    # from here on, block 1 as delivered: scrambled by a fresh uniform permutation
+    block1 = channel.send_block(block1, rng.permutation(len(block1)), sender="alice")
     # block-1 delivery position of each (pair, half) sent in it, else -1;
     # row-major, so slot 2 pair + half is its flat index
     position = np.full((total, 2), -1, dtype=np.intp)
-    position.reshape(-1)[block1.slots[scramble]] = np.arange(len(block1))
+    position.reshape(-1)[block1.slots] = np.arange(len(block1))
 
     # (c) first check: reveal check-pair positions, Bell-check a fraction
     num_compared = round(config.check_fraction * n_pairs)
-    compared = check_pairs[rng.choice(n_pairs, size=num_compared, replace=False)]
+    compared = rng.choice(n_pairs, size=num_compared, replace=False)
     # each reveal travels as the index arrays it is read from: pair, then positions
-    reveal = (check_pairs, position[check_pairs])
-    channel.broadcast(reveal, "alice", f"check-pair reveal n={n_pairs}")
+    channel.broadcast(
+        (check_pairs, position.take(check_pairs, axis=0)), "alice", f"check-pair reveal n={n_pairs}"
+    )
     events_first, wrong_first = _bell_check(registry, check_pairs, compared, rng)
-    channel.broadcast(compared, "bob", f"compared checks n={num_compared}")
+    channel.broadcast(check_pairs[compared], "bob", f"compared checks n={num_compared}")
     error_first = wrong_first / (2 * num_compared)
 
     eve_info: Optional[float] = 0.0
@@ -532,22 +537,25 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
         )
 
     # (d) repetition-code the message and dense-encode on N retained halves
-    coded = np.zeros(2 * n_pairs, dtype=np.int64)
+    coded = np.zeros(2 * n_pairs, dtype=np.int8)
     coded[: code_len * len(message)] = np.repeat(message, code_len)
-    message_pairs = np.sort(retained[rng.choice(retained.size, size=n_pairs, replace=False)])
-    is_second = ~is_check
-    is_second[message_pairs] = False
-    second_pairs = np.flatnonzero(is_second)
-    message_index = np.searchsorted(retained, message_pairs)  # position in block 2
+    # retained is ascending, so sorted positions in it (block 2) give sorted pairs
+    message_index = np.sort(rng.choice(retained.size, size=n_pairs, replace=False))
+    message_pairs = retained[message_index]
+    is_second = np.ones(retained.size, dtype=bool)
+    is_second[message_index] = False
+    block2_index = np.flatnonzero(is_second)
+    second_pairs = retained[block2_index]
     block2 = ParticleBlock(registry, retained, 0)
     _dense_encode(block2.take(message_index), coded.reshape(n_pairs, 2))
     channel.send_block(block2, None, sender="alice")
-    block2_index = np.searchsorted(retained, second_pairs)
 
     # (e) second check on the untouched pairs, then message reveal
-    compared2 = second_pairs[rng.choice(second_pairs.size, size=num_compared, replace=False)]
-    reveal2 = (second_pairs, position[second_pairs, 1], block2_index)
-    channel.broadcast(reveal2, "alice", f"second-check reveal n={second_pairs.size}")
+    compared2 = rng.choice(second_pairs.size, size=num_compared, replace=False)
+    channel.broadcast(
+        (second_pairs, position[second_pairs, 1], block2_index), "alice",
+        f"second-check reveal n={second_pairs.size}",
+    )
     events_second, wrong_second = _bell_check(registry, second_pairs, compared2, rng)
     error_second = wrong_second / (2 * num_compared)
     events = tuple(events_first.tolist() + events_second.tolist())
@@ -562,7 +570,7 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
         "alice",
         f"message reveal n={n_pairs} r={code_len}",
     )
-    decoded = _BELL_BITS[registry.bell_measure(message_pairs, rng)].ravel()
+    decoded = _BELL_BITS.take(registry.bell_measure(message_pairs, rng), axis=0).ravel()
     votes = decoded[: code_len * len(message)].reshape(-1, code_len).sum(1)
     bob_message = tuple((votes * 2 > code_len).astype(int).tolist())
     guess_fields = {}

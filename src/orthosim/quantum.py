@@ -74,6 +74,7 @@ class NoiseChannel:
         mixture = self.pauli_mixture()
         # a draw past the last cumulative weight (rounding) gets the trailing identity
         codes = [next(i for op, i in _PAULI_INDEX if op is m) for _, m in mixture]
+        assert codes[0] == 0, "a draw under the first weight must be the identity"
         # read-only: one channel per noise spec is shared across runs
         cumulative, codes = np.cumsum([w for w, _ in mixture]), np.array(codes + [0])
         cumulative.flags.writeable = codes.flags.writeable = False
@@ -95,7 +96,18 @@ class NoiseChannel:
     def sample_codes(self, count: int, rng) -> np.ndarray:
         """One trajectory per use: the code 2x + z of X^x Z^z drawn with
         the mixture weights, one uniform per use."""
-        return self._codes[np.searchsorted(self._cumulative, rng.random(count), side="right")]
+        hit, hit_codes = self.sample_hits(count, rng)
+        codes = np.zeros(count, dtype=self._codes.dtype)
+        codes[hit] = hit_codes
+        return codes
+
+    def sample_hits(self, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`sample_codes` as the uses whose draw reaches past the
+        leading identity weight, and their codes: only those draws are
+        looked up in the mixture's intervals."""
+        draws = rng.random(count)
+        hit = np.flatnonzero(draws >= self._cumulative[0])
+        return hit, self._codes[np.searchsorted(self._cumulative, draws[hit], side="right")]
 
 
 # --------------------------------------------------------------- probe family
@@ -131,10 +143,12 @@ def _pack(bases: list[int], values: list[int]) -> int:
 def _pair_tables() -> tuple[np.ndarray, ...]:
     """Each registry operation applied once to each pair code: the code
     after X^x Z^z (half, 2x + z, code), a measurement's p0 (half, basis,
-    code) and code after it (half, basis, seen, code), and the cumulative
-    Born probabilities of a Bell measurement (first three outcomes, code)."""
+    code) and code after it (half, basis, seen, code), the cumulative
+    Born probabilities of a Bell measurement (first three outcomes, code),
+    and its outcome at each quarter of the draw (code, floor(4 draw))."""
     pauli, p0 = np.empty((2, 4, 20), np.int8), np.empty((2, 2, 20))
     after, bell = np.zeros((2, 2, 2, 20), np.int8), np.empty((3, 20))
+    quarter = np.empty((20, 4), np.int8)
     for code in range(20):
         if code < 4:
             frame, bases, values = code, [-1, -1], [0, 0]
@@ -165,11 +179,14 @@ def _pair_tables() -> tuple[np.ndarray, ...]:
             math.prod(float((f >> (1 - i) & 1) == bits[i]) if fixed[i] else 0.5 for i in (0, 1))
             for f in (3, 2, 1, 0)
         ]
-        bell[:, code] = np.cumsum(probs)[:3]
-    return pauli, p0, after, bell
+        bell[:, code] = cumulative = list(itertools.accumulate(probs))[:3]
+        # a draw u meets cumulatives on the quarter grid as floor(4u) does
+        assert all(4 * c % 1 == 0 for c in cumulative), "a Born cumulative off the quarter grid"
+        quarter[code] = [sum(q >= 4 * c for c in cumulative) for q in range(4)]
+    return pauli, p0, after, bell, quarter
 
 
-_PAULI, _P0, _AFTER, _BELL_CUMULATIVE = _pair_tables()
+_PAULI, _P0, _AFTER, _BELL_CUMULATIVE, _BELL_QUARTER = _pair_tables()
 
 
 # a duplicate check marks one byte per value over the values' span while
@@ -204,10 +221,10 @@ def _indices(values, name: str) -> np.ndarray:
 def _halves(slots: np.ndarray) -> list[tuple[int, np.ndarray | slice, np.ndarray]]:
     """Validated slots by half, half 0 first: (half, call positions, pairs)."""
     odd = slots & 1
-    ones = odd.nonzero()[0]
-    if ones.size in (0, slots.size):
-        return [(int(ones.size > 0), slice(None), slots >> 1)] if slots.size else []
-    zeros = (odd ^ 1).nonzero()[0]
+    count = np.count_nonzero(odd)
+    if count in (0, slots.size):
+        return [(int(count > 0), slice(None), slots >> 1)] if slots.size else []
+    ones, zeros = odd.nonzero()[0], (odd ^ 1).nonzero()[0]
     return [(0, zeros, slots[zeros] >> 1), (1, ones, slots[ones] >> 1)]
 
 
@@ -242,14 +259,15 @@ class QuantumRegistry:
         self._code = np.concatenate([self._code, np.zeros(count, dtype=np.int8)])
         return np.arange(first, first + count)
 
-    def slots(self, pairs, qubits) -> np.ndarray:
+    def slots(self, pairs, qubits=None) -> np.ndarray:
         """Slot 2 pair + half of each listed particle, validated in one
         pass: halves by a bitwise test, pairs by an unsigned range test,
         duplicates by :func:`_repeats` (on the pairs when one half covers
-        the call)."""
-        pairs = _indices(pairs, "pair indices").reshape(-1)
-        if isinstance(qubits, (int, np.integer)):  # one half for the whole call
-            halves_ok = qubits in (0, 1)
+        the call).  Without ``qubits``, ``pairs`` lists the slots
+        themselves, range-tested against twice the pair count."""
+        pairs = _indices(pairs, "slots" if qubits is None else "pair indices").reshape(-1)
+        if qubits is None or isinstance(qubits, (int, np.integer)):  # one half for the call
+            halves_ok = qubits in (None, 0, 1)
         else:
             qubits = _indices(qubits, "halves")
             if qubits.shape not in ((), pairs.shape):
@@ -257,9 +275,10 @@ class QuantumRegistry:
             halves_ok = not np.count_nonzero(qubits & -2)
         if not halves_ok:
             raise QuantumValidationError("a pair holds qubits 0 and 1 only")
-        if pairs.size and pairs.view(np.uintp).max() >= self._code.size:
+        limit = 2 * self._code.size if qubits is None else self._code.size
+        if pairs.size and pairs.view(np.uintp).max() >= limit:
             raise QuantumValidationError(f"pair index outside [0, {self.num_pairs})")
-        slots = pairs + pairs + qubits
+        slots = pairs if qubits is None else pairs + pairs + qubits
         if _repeats(slots if np.ndim(qubits) else pairs):
             raise QuantumValidationError("a particle appears twice in one call")
         return slots
@@ -275,7 +294,9 @@ class QuantumRegistry:
         """X^x Z^z on validated slots, xz = 2x + z per particle or shared."""
         shared = not isinstance(xz, np.ndarray)
         for half, where, group in _halves(slots):
-            self._code[group] = _PAULI[half, xz if shared else xz[where], self._code[group]]
+            part = xz if shared else xz[where]
+            # one flat take from the half's (4, 20) table, at 20 xz + code
+            self._code[group] = _PAULI[half].take(20 * part + self._code[group])
 
     def apply_pauli(self, block: ParticleBlock, x, z) -> None:
         """Apply X^x Z^z to each particle of the block, with 0/1 exponents
@@ -297,9 +318,8 @@ class QuantumRegistry:
         """One stochastic trajectory of the channel on each particle of
         the block: a random Pauli drawn with the channel's mixture weights."""
         slots = self._slots_of(block)
-        xz = channel.sample_codes(slots.size, rng)
-        hit = np.flatnonzero(xz)
-        self._apply(slots[hit], xz[hit])
+        hit, xz = channel.sample_hits(slots.size, rng)
+        self._apply(slots[hit], xz)
 
     def measure(self, block: ParticleBlock, bases, rng) -> np.ndarray:
         """Projective measurement of each particle of the block in its
@@ -338,11 +358,12 @@ class QuantumRegistry:
         One uniform per pair meets the cumulative Born probabilities of
         the pair's code in BellOutcome order: a frame fixes the outcome, a
         product in a shared basis fixes one frame bit, and the rest is
-        uniform.
+        uniform.  Those are multiples of 1/4, so the outcome is read from
+        :data:`_BELL_QUARTER` at the draw's quarter.
         """
         pairs = self.slots(pairs, 0) >> 1
-        cumulative = _BELL_CUMULATIVE.take(self._code[pairs], axis=1)
-        outcomes = np.add.reduce(rng.random(pairs.size) >= cumulative, axis=0)
+        quarters = (rng.random(pairs.size) * 4).astype(np.int8)
+        outcomes = _BELL_QUARTER.take(quarters + 4 * self._code[pairs])
         self._code[pairs] = 3 - outcomes  # BellOutcome k is frame 3 - k
         return outcomes
 
@@ -352,15 +373,15 @@ class ParticleBlock:
 
     Particle ``i`` is half ``slots[i] & 1`` of pair ``slots[i] >> 1`` in
     ``registry``.  The block is checked once, when it is built from pair
-    indices and halves (a scalar half covers the block): every pair in
-    the registry, every half 0 or 1, no particle twice.  Its parts
-    (:meth:`take`) and the registry operations that take it check none of
-    its particles again.
+    indices and halves (a scalar half covers the block) or from slots
+    alone: every pair in the registry, every half 0 or 1, no particle
+    twice.  Its parts (:meth:`take`) and the registry operations that
+    take it check none of its particles again.
     """
 
     __slots__ = ("registry", "slots")
 
-    def __init__(self, registry: QuantumRegistry, pairs, qubits) -> None:
+    def __init__(self, registry: QuantumRegistry, pairs, qubits=None) -> None:
         self.registry = registry
         self.slots = registry.slots(pairs, qubits)
 

@@ -24,6 +24,14 @@ dense enumeration of every placement, the oracles for
 ``RecordingHook`` is a transparent wiretap that keeps every block the
 channel hands it, so tests can audit exactly what the adversary saw.
 
+``reference_bell_rule`` and ``reference_noise_codes`` are the pair
+engine's lookups as first written, over every draw: a Bell outcome as the
+count of the code's cumulative Born probabilities a draw reaches, and a
+noise Pauli as a search of every draw in the mixture's cumulative
+weights.  ``QuantumRegistry.bell_measure`` reads the first from a table
+at the draw's quarter, and ``apply_noise`` looks up only the draws past
+the identity weight; both must match these draw for draw.
+
 ``reference_glt_exchange`` is the GLT-2S exchange as first written: it
 selects the check coordinates by argsort and gathers them with
 ``take_along_axis`` whatever the check fraction, and its intercept-resend
@@ -55,6 +63,7 @@ from orthosim.quantum import (
     ProbeAttackSpec,
     QuantumValidationError,
     ResourceLimitError,
+    _BELL_CUMULATIVE,
     _num_qubits_for,
     holevo_information,
 )
@@ -469,6 +478,23 @@ class ReferenceRegistry:
         self._frame[pairs] = _OUTCOME_FRAME[outcomes]
         self._basis[pairs] = -1
         return outcomes
+
+
+def reference_bell_rule(codes, draws) -> tuple[np.ndarray, np.ndarray]:
+    """Bell outcomes of pairs in these engine codes, one draw each, by
+    the cumulative comparison: the (3, pairs) gather of the codes' Born
+    cumulatives, each compared with its pair's draw and the hits counted.
+    Returns the outcomes and the codes left (BellOutcome k is frame 3 - k)."""
+    cumulative = _BELL_CUMULATIVE.take(np.asarray(codes, dtype=np.intp), axis=1)
+    outcomes = np.add.reduce(np.asarray(draws) >= cumulative, axis=0)
+    return outcomes, 3 - outcomes
+
+
+def reference_noise_codes(channel: NoiseChannel, draws) -> np.ndarray:
+    """The Pauli code 2x + z a channel draws for each use: every draw
+    searched in the cumulative mixture weights, past the last one (a
+    rounding shortfall) the trailing identity."""
+    return channel._codes[np.searchsorted(channel._cumulative, draws, side="right")]
 
 
 # ---------------------------------------------------------------- PoP probe states

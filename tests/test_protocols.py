@@ -538,6 +538,31 @@ def test_large_pop_run_memory_stays_small():
     assert peak < 36e6
 
 
+@pytest.mark.parametrize(
+    "config, gate",
+    [
+        (stream(seed=2, n=1_000_000, threshold=0.2), 85e6),
+        (pop(seed=2, n=1_000_000, message=(1, 0, 1), threshold=0.1), 240e6),
+    ],
+    ids=["stream-qkd", "pop-qsdc"],
+)
+def test_million_pair_run_memory_stays_under_its_gate(config, gate):
+    # probed and noisy at N = 10**6, a stream run peaks at 78 MB and a pop
+    # run at 220 MB under tracemalloc; each gate is its peak plus under 10%
+    config = dataclasses.replace(
+        config, adversary=AdversarySpec("probe", theta=0.4), noise=NoiseSpec("depolarizing", 0.01)
+    )
+    run(dataclasses.replace(config, block_size=100))  # warm imports and caches
+    tracemalloc.start()
+    try:
+        res = run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.outcome == "completed"
+    assert peak < gate
+
+
 def test_each_particle_block_is_validated_once(monkeypatch):
     # the channel, the probe and the noise act on blocks checked when they
     # were built: a stream run checks its stream and its Bell pairs, a pop

@@ -45,6 +45,8 @@ from oracle import (
     probe_interact,
     probe_unitary,
     reduced_state,
+    reference_bell_rule,
+    reference_noise_codes,
     ry,
     singlet,
 )
@@ -798,6 +800,75 @@ def test_pair_tables_match_reference_rules():
             outcome = int(ref.bell_measure([0], _FixedDraws(draw))[0])
             assert outcome == int((draw >= quantum._BELL_CUMULATIVE[:, code]).sum())
             assert _reference_codes(ref)[0] == 3 - outcome  # the frame code stored
+
+
+def _registry_holding(codes):
+    """A registry whose pair k holds ``codes[k]``, reached by operations
+    alone: a frame by X^x Z^z on half 0 of a singlet; a product by the
+    frame that correlates its halves as wanted, then a Z/X measurement of
+    both halves, half 0 first, with a draw of 1/4 + v/2 reading value v
+    whether p0 is 1/2 (a free value) or 1 - v (one the frame forced)."""
+    codes = np.asarray(codes, dtype=np.intp)
+    product = codes >= 4
+    s0, s1 = np.divmod(np.where(product, codes - 4, 0), 4)
+    bases, values = np.stack([s0, s1], axis=1) >> 1, np.stack([s0, s1], axis=1) & 1
+    # half 1 reads v0 ^ 1 ^ (frame bit of the shared basis: x for Z, z for X)
+    correlated = product & (bases[:, 0] == bases[:, 1]) & (values[:, 0] == values[:, 1])
+    x = np.where(product, correlated & (bases[:, 0] == 0), codes >> 1).astype(int)
+    z = np.where(product, correlated & (bases[:, 0] == 1), codes & 1).astype(int)
+    reg = QuantumRegistry()
+    pairs = reg.allocate(codes.size)
+    reg.apply_pauli(ParticleBlock(reg, pairs, 0), x=x, z=z)
+    measured = np.flatnonzero(product)
+    block = ParticleBlock(reg, (2 * measured[:, None] + [0, 1]).ravel())
+    draws = 0.25 + 0.5 * values[measured].ravel()
+    reg.measure(block, np.array(["Z", "X"])[bases[measured].ravel()], _FixedDraws(*draws))
+    assert reg._code.tolist() == codes.tolist()
+    return reg
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 19), max_size=40), st.data())
+def test_bell_quarter_lookup_matches_the_cumulative_rule(extra, data):
+    # every code and then any, measured in any order, each pair on a free
+    # draw or on or one ulp below a multiple of 1/4
+    codes = np.array(list(range(20)) + extra)
+    order = np.array(data.draw(st.permutations(range(codes.size))))
+    uniform = st.floats(0.0, 1.0, exclude_max=True)
+    draws = data.draw(st.lists(
+        st.one_of(uniform, st.sampled_from(_EDGE_DRAWS)), min_size=codes.size, max_size=codes.size
+    ))
+    reg = _registry_holding(codes)
+    outcomes = reg.bell_measure(order, _FixedDraws(*draws))
+    want, left = reference_bell_rule(codes[order], draws)
+    assert outcomes.tolist() == want.tolist()
+    assert reg._code[order].tolist() == left.tolist()
+
+
+_NOISE_CHANNELS = [
+    NoiseChannel(kind, p) for kind in ("depolarizing", "bit-flip") for p in (0.0, 0.01, 0.5, 1.0)
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_NOISE_CHANNELS), st.lists(st.integers(0, 19), min_size=1, max_size=20),
+       st.data())
+def test_noise_hit_lookup_matches_the_full_search(channel, codes, data):
+    # any block over pairs in any codes; draws free, on the identity
+    # weight, one ulp below it, and 1 - 2**-53, the largest draw
+    first = channel._cumulative[0]
+    edges = [float(d) for d in (first, np.nextafter(first, 0), 1 - 2**-53) if d < 1]
+    slots = data.draw(st.lists(st.integers(0, 2 * len(codes) - 1), unique=True))
+    draws = data.draw(st.lists(
+        st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from(edges)),
+        min_size=len(slots), max_size=len(slots),
+    ))
+    reg, ref = _registry_holding(codes), _registry_holding(codes)
+    reg.apply_noise(ParticleBlock(reg, slots), channel, _FixedDraws(*draws))
+    xz = reference_noise_codes(channel, draws)
+    ref.apply_pauli(ParticleBlock(ref, slots), x=xz >> 1, z=xz & 1)
+    assert reg._code.tolist() == ref._code.tolist()
+    assert channel.sample_codes(len(draws), _FixedDraws(*draws)).tolist() == xz.tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
