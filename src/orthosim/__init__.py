@@ -20,7 +20,6 @@ from orthosim.adversary import (
     ProbeAttack,
     QuantumInterceptResend,
     escape_probability,
-    escape_probability_checked,
     escape_probability_sampled,
     matching_count,
     permutation_attack,

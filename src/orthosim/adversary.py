@@ -30,7 +30,6 @@ __all__ = [
     "ProbeAttack",
     "QuantumInterceptResend",
     "escape_probability",
-    "escape_probability_checked",
     "escape_probability_sampled",
     "matching_count",
     "permutation_attack",
@@ -89,37 +88,26 @@ class AttackReport:
 # ---------------------------------------------------------------- escape analytics
 
 
-def escape_probability(num_fiducials: int, num_outcomes: int, rounds: int) -> float:
-    """Chance an intercept-resend attack survives full checking.
+def escape_probability(
+    num_fiducials: int, num_outcomes: int, rounds: int, attack_fraction: float = 1.0
+) -> float:
+    """Chance an intercept-resend attack survives ``rounds`` checked rounds,
+    each attacked independently with probability attack_fraction = a:
+    (1 - a * p)^rounds.
 
-    Per checked round the attack is caught when the receiver measures a
-    different fiducial than the attacker (probability (J-1)/J) and the
-    uniformized row then misses the codeword value ((K-1)/K).
+    Per attacked, checked round the attack is caught when the receiver
+    measures a different fiducial than the attacker (probability
+    (J-1)/J) and the uniformized row then misses the codeword value
+    ((K-1)/K), so p = (J-1)/J * (K-1)/K.  This is the escape-tally
+    reference, whose checked rounds are fixed and whose gbits are
+    attacked independently. A run's own report instead knows its
+    attacked count; see escape_probability_sampled.
     """
+    _validate_fraction(attack_fraction)
     if num_fiducials < 1 or num_outcomes < 2 or rounds < 0:
         raise AdversaryError(
             f"need J >= 1, K >= 2, n >= 0, got ({num_fiducials}, {num_outcomes}, {rounds})"
         )
-    j, k = num_fiducials, num_outcomes
-    per_round = 1.0 - ((j - 1) / j) * ((k - 1) / k)
-    return per_round**rounds
-
-
-def escape_probability_checked(
-    num_fiducials: int, num_outcomes: int, rounds: int, attack_fraction: float
-) -> float:
-    """Escape probability over ``rounds`` checked rounds, each attacked
-    independently with probability attack_fraction = a:
-    (1 - a * p)^rounds, with p = (J-1)/J * (K-1)/K the chance that one
-    attacked, checked round is caught.
-
-    This is the escape-tally reference, whose checked rounds are fixed and
-    whose gbits are attacked independently. A run's own report instead
-    knows its attacked count; see escape_probability_sampled.
-    """
-    _validate_fraction(attack_fraction)
-    if num_fiducials < 1 or num_outcomes < 2 or rounds < 0:
-        raise AdversaryError("need J >= 1, K >= 2, n >= 0")
     j, k = num_fiducials, num_outcomes
     per_round = 1.0 - attack_fraction * ((j - 1) / j) * ((k - 1) / k)
     return per_round**rounds
@@ -166,6 +154,13 @@ class GltInterceptResend(EveHook):
     pair of arrays to observations; with attack_fraction < 1, each gbit
     is attacked independently with that probability and passed through
     otherwise.
+
+    Draws on ``rng`` per block: one ``random()`` per gbit to select the
+    attacked ones when attack_fraction < 1, then one fiducial
+    ``integers(0, J)`` per attacked gbit, then what
+    :func:`~orthosim.gpt.measure_fiducial` draws: nothing on pristine
+    codewords, whose outcomes it reads off, else one ``integers(0, K)``
+    per attacked gbit.
     """
 
     strategy = "glt-intercept-resend"

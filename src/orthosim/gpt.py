@@ -78,18 +78,18 @@ class GbitBlock:
 
     def __post_init__(self) -> None:
         outcomes = _indices(self.outcomes, "outcomes").reshape(-1)
-        fiducials = np.broadcast_to(
-            _indices(-1 if self.fiducials is None else self.fiducials, "fiducials"),
-            outcomes.shape,
-        )
-        if outcomes.size and (outcomes.min() < 0 or outcomes.max() >= self.spec.num_outcomes):
+        if not _in_range(outcomes, self.spec.num_outcomes):
             raise GptValidationError(
                 f"outcomes must lie in [0, {self.spec.num_outcomes})"
             )
-        if fiducials.size and (fiducials.min() < -1 or fiducials.max() >= self.spec.num_fiducials):
-            raise GptValidationError(
-                f"fiducials must lie in [-1, {self.spec.num_fiducials})"
-            )
+        if self.fiducials is None:  # pristine codewords: one read-only -1, repeated
+            fiducials = np.ndarray(outcomes.shape, np.intp, _MINUS_ONE, 0, (0,))
+        else:
+            fiducials = np.broadcast_to(_indices(self.fiducials, "fiducials"), outcomes.shape)
+            if not _in_range(fiducials + 1, self.spec.num_fiducials + 1):
+                raise GptValidationError(
+                    f"fiducials must lie in [-1, {self.spec.num_fiducials})"
+                )
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "fiducials", fiducials)
 
@@ -117,9 +117,27 @@ def _unchecked(spec: FiducialSpec, outcomes: np.ndarray, fiducials: np.ndarray) 
     return block
 
 
+def _in_range(values: np.ndarray, bound: int) -> bool:
+    """Whether every intp value lies in [0, bound), in one unsigned pass:
+    a negative value wraps past any bound."""
+    return not values.size or int(values.view(np.uintp).max()) < bound
+
+
+_MINUS_ONE = np.array([-1], dtype=np.intp)
+_MINUS_ONE.flags.writeable = False
+
+
+def _fresh(block: GbitBlock) -> bool:
+    """Whether the block was built as pristine codewords, its fiducials a
+    view of :data:`_MINUS_ONE`: told from their base without a scan."""
+    return block.fiducials.base is _MINUS_ONE
+
+
 def _check_fiducials(block: GbitBlock, fiducials) -> np.ndarray:
-    fiducials = np.broadcast_to(_indices(fiducials, "fiducial indices"), (len(block),))
-    if fiducials.size and (fiducials.min() < 0 or fiducials.max() >= block.spec.num_fiducials):
+    fiducials = _indices(fiducials, "fiducial indices")
+    if fiducials.shape != (len(block),):
+        fiducials = np.broadcast_to(fiducials, (len(block),))
+    if not _in_range(fiducials, block.spec.num_fiducials):
         raise GptValidationError(
             f"fiducial indices must lie in [0, {block.spec.num_fiducials})"
         )
@@ -131,18 +149,33 @@ def sample_outcome(block: GbitBlock, fiducials, rng) -> np.ndarray:
     without building the post-measurement block.
 
     A pristine codeword, or a gbit measured before in the same fiducial,
-    gives its definite outcome; any other row is uniform.  One uniform
-    draw is made per gbit.
+    gives its definite outcome; any other row is uniform.  Draws: one
+    ``rng.integers(0, K)`` per gbit, whatever the block holds, so the
+    draws a caller makes on ``rng`` afterwards do not depend on it.
     """
-    fiducials = _check_fiducials(block, fiducials)
+    return _sample(block, _check_fiducials(block, fiducials), rng)
+
+
+def _sample(block: GbitBlock, fiducials: np.ndarray, rng) -> np.ndarray:
+    """:func:`sample_outcome` on checked fiducials."""
     uniform = rng.integers(0, block.spec.num_outcomes, size=len(block))
+    if _fresh(block):
+        return block.outcomes.copy()
     definite = (block.fiducials < 0) | (block.fiducials == fiducials)
     return np.where(definite, block.outcomes, uniform)
 
 
 def measure_fiducial(block: GbitBlock, fiducials, rng) -> tuple[np.ndarray, GbitBlock]:
     """Measure ``fiducials[i]`` on gbit ``i``: sample the outcomes, then
-    return them with the maximally disturbed post-measurement block."""
-    outcomes = sample_outcome(block, fiducials, rng)  # checks the fiducials
-    fiducials = np.broadcast_to(np.asarray(fiducials, dtype=np.intp), outcomes.shape)
-    return outcomes, _unchecked(block.spec, outcomes, fiducials)
+    return them with the maximally disturbed post-measurement block.
+
+    Draws: none when every gbit is a pristine codeword, whose outcome in
+    any fiducial is its value; otherwise one ``rng.integers(0, K)`` per
+    gbit, as :func:`sample_outcome` makes.
+    """
+    checked = _check_fiducials(block, fiducials)
+    if _fresh(block) or not block.fiducials.size or block.fiducials.max() < 0:
+        outcomes = block.outcomes
+    else:
+        outcomes = _sample(block, checked, rng)
+    return outcomes, _unchecked(block.spec, outcomes, checked)

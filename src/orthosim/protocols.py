@@ -27,7 +27,7 @@ from .adversary import (
     GltInterceptResend,
     ProbeAttack,
     QuantumInterceptResend,
-    escape_probability_checked,
+    escape_probability,
     escape_probability_sampled,
     permutation_attack,
     pop_eve_information,
@@ -280,8 +280,7 @@ def _glt_exchange(config: ProtocolConfig, rng, rng_eve, trials: int):
     outcomes = sample_outcome(delivered, fiducials, rng).reshape(shape)
 
     num_checks = round(config.check_fraction * config.num_gbits)
-    if num_checks == config.num_gbits:  # any order selects them all
-        rng.random(shape)  # drawn all the same: the stream ends where a partial check leaves it
+    if num_checks == config.num_gbits:  # any order selects them all, so none is drawn
         check_coords = np.broadcast_to(np.arange(num_checks), shape)
         checked, expected = outcomes, codewords
     else:
@@ -381,7 +380,7 @@ def glt_escape_trials(
     escapes = trials - int(events.any(axis=1).sum())
     theory = config.fiducial
     attack = 0.0 if config.adversary is None else config.adversary.attack_fraction
-    analytic = escape_probability_checked(
+    analytic = escape_probability(
         theory.num_fiducials,
         theory.num_outcomes,
         round(config.check_fraction * config.num_gbits),

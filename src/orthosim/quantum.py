@@ -264,7 +264,8 @@ class QuantumRegistry:
         pass: halves by a bitwise test, pairs by an unsigned range test,
         duplicates by :func:`_repeats` (on the pairs when one half covers
         the call).  Without ``qubits``, ``pairs`` lists the slots
-        themselves, range-tested against twice the pair count."""
+        themselves, range-tested against twice the pair count, and come
+        back as that checked array; with them, the slots are a new array."""
         pairs = _indices(pairs, "slots" if qubits is None else "pair indices").reshape(-1)
         if qubits is None or isinstance(qubits, (int, np.integer)):  # one half for the call
             halves_ok = qubits in (None, 0, 1)
@@ -278,7 +279,9 @@ class QuantumRegistry:
         limit = 2 * self._code.size if qubits is None else self._code.size
         if pairs.size and pairs.view(np.uintp).max() >= limit:
             raise QuantumValidationError(f"pair index outside [0, {self.num_pairs})")
-        slots = pairs if qubits is None else pairs + pairs + qubits
+        slots = pairs if qubits is None else pairs << 1
+        if np.ndim(qubits) or qubits:  # halves to add: not for None or 0
+            slots |= qubits
         if _repeats(slots if np.ndim(qubits) else pairs):
             raise QuantumValidationError("a particle appears twice in one call")
         return slots
@@ -361,7 +364,8 @@ class QuantumRegistry:
         uniform.  Those are multiples of 1/4, so the outcome is read from
         :data:`_BELL_QUARTER` at the draw's quarter.
         """
-        pairs = self.slots(pairs, 0) >> 1
+        self.slots(pairs, 0)  # checks the pairs; the slots are dropped before the draws
+        pairs = np.asarray(pairs).astype(np.intp, copy=False).reshape(-1)
         quarters = (rng.random(pairs.size) * 4).astype(np.int8)
         outcomes = _BELL_QUARTER.take(quarters + 4 * self._code[pairs])
         self._code[pairs] = 3 - outcomes  # BellOutcome k is frame 3 - k

@@ -248,7 +248,9 @@ def _gather_index(perm, size: int) -> np.ndarray:
     index = index.astype(np.intp, copy=False)
     if size and index.view(np.uintp).max() >= size:
         raise TransportError(f"perm has an entry outside [0, {size})")
-    if size and np.count_nonzero(np.bincount(index)) < size:
+    seen = np.zeros(size, dtype=bool)  # one byte per carrier
+    seen[index] = True
+    if np.count_nonzero(seen) < size:
         raise TransportError("perm has an entry twice")
     return index
 

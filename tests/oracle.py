@@ -33,12 +33,15 @@ at the draw's quarter, and ``apply_noise`` looks up only the draws past
 the identity weight; both must match these draw for draw.
 
 ``reference_glt_exchange`` is the GLT-2S exchange as first written: it
-selects the check coordinates by argsort and gathers them with
-``take_along_axis`` whatever the check fraction, and its intercept-resend
-copies the attacked gbits out and back in through fully checked blocks
-even when every gbit is attacked.  ``orthosim.protocols._glt_exchange``
-skips that work where it selects everything; it must match this exchange
-draw for draw.
+gathers the checked coordinates with ``take_along_axis`` whatever the
+check fraction (a partial check selects them by argsort), its
+intercept-resend copies the attacked gbits out and back in through fully
+checked blocks even when every gbit is attacked, and it samples every
+outcome by the fiducial-table rule over fiducial arrays it scans.  It
+makes only the draws the exchange's outputs read: no check order when
+every coordinate is checked, and no uniforms when Eve measures pristine
+codewords.  ``orthosim.protocols._glt_exchange`` skips the work where it
+selects everything; it must match this exchange draw for draw.
 """
 
 import itertools
@@ -49,7 +52,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from orthosim.adversary import AdversaryError
-from orthosim.gpt import GbitBlock, sample_outcome
+from orthosim.gpt import GbitBlock
 from orthosim.metrics import SweepPoint, binary_entropy
 from orthosim.quantum import (
     MAX_QUBITS,
@@ -652,13 +655,25 @@ class ReferenceGltInterceptResend:
             attacked = np.flatnonzero(self.rng.random(len(carrier)) < self.attack_fraction)
         part = GbitBlock(spec, carrier.outcomes[attacked], carrier.fiducials[attacked])
         fiducials = self.rng.integers(0, spec.num_fiducials, size=attacked.size)
-        outcomes = sample_outcome(part, fiducials, self.rng)
+        if (part.fiducials < 0).all():  # pristine codewords answer any fiducial
+            outcomes = part.outcomes.copy()
+        else:
+            outcomes = reference_sample(part, fiducials, self.rng)
         post = GbitBlock(spec, outcomes, fiducials)
         self.observations.append((fiducials, outcomes))
         self.rounds_attacked += attacked.size
         merged_outcomes, merged_fiducials = carrier.outcomes.copy(), carrier.fiducials.copy()
         merged_outcomes[attacked], merged_fiducials[attacked] = post.outcomes, post.fiducials
         return GbitBlock(spec, merged_outcomes, merged_fiducials)
+
+
+def reference_sample(block: GbitBlock, fiducials: np.ndarray, rng) -> np.ndarray:
+    """Outcomes of measuring ``fiducials[i]`` on gbit ``i``: the definite
+    value of a pristine codeword or of a gbit measured before in the same
+    fiducial, else one uniform draw, made for every gbit."""
+    uniform = rng.integers(0, block.spec.num_outcomes, size=len(block))
+    definite = (block.fiducials == -1) | (block.fiducials == fiducials)
+    return np.where(definite, block.outcomes, uniform)
 
 
 def reference_glt_exchange(config, rng, rng_eve, trials: int):
@@ -678,9 +693,12 @@ def reference_glt_exchange(config, rng, rng_eve, trials: int):
         hook = ReferenceGltInterceptResend(rng_eve, config.adversary.attack_fraction)
         delivered = hook.intercept(delivered)
     fiducials = rng.integers(0, theory.num_fiducials, size=len(delivered))
-    outcomes = sample_outcome(delivered, fiducials, rng).reshape(shape)
+    outcomes = reference_sample(delivered, fiducials, rng).reshape(shape)
     num_checks = round(config.check_fraction * config.num_gbits)
-    check_coords = np.sort(np.argsort(rng.random(shape), axis=1)[:, :num_checks], axis=1)
+    if num_checks == config.num_gbits:  # every order selects them all
+        check_coords = np.tile(np.arange(num_checks), (trials, 1))
+    else:
+        check_coords = np.sort(np.argsort(rng.random(shape), axis=1)[:, :num_checks], axis=1)
     checked = np.take_along_axis(outcomes, check_coords, axis=1)
     events = checked != np.take_along_axis(bits, check_coords, axis=1) * top
     return hook, bits, outcomes, check_coords, events

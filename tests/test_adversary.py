@@ -17,7 +17,6 @@ from orthosim.adversary import (
     _pop_log_weights,
     _pop_state_entropies,
     escape_probability,
-    escape_probability_checked,
     escape_probability_sampled,
     matching_count,
     permutation_attack,
@@ -81,14 +80,14 @@ def test_escape_probability_domain():
             escape_probability(*bad)
 
 
-def test_escape_probability_checked():
-    assert escape_probability_checked(2, 2, 4, 1.0) == pytest.approx(
+def test_escape_probability_attack_fraction():
+    assert escape_probability(2, 2, 4, 1.0) == pytest.approx(
         escape_probability(2, 2, 4), abs=1e-15
     )
-    assert escape_probability_checked(2, 2, 9, 0.0) == 1.0
-    assert escape_probability_checked(2, 2, 1, 0.5) == pytest.approx(1 - 0.5 * 0.25, abs=1e-15)
+    assert escape_probability(2, 2, 9, 0.0) == 1.0
+    assert escape_probability(2, 2, 1, 0.5) == pytest.approx(1 - 0.5 * 0.25, abs=1e-15)
     with pytest.raises(AdversaryError):
-        escape_probability_checked(2, 2, 1, 1.5)
+        escape_probability(2, 2, 1, 1.5)
 
 
 def test_escape_probability_sampled_matches_hypergeometric_sum():
@@ -109,7 +108,7 @@ def test_escape_probability_sampled_matches_hypergeometric_sum():
     # every coordinate checked: bit-identical to the independent-rounds form
     for attacked in (0, 1, 7, 40):
         assert escape_probability_sampled(3, 2, 40, attacked, 40) == (
-            escape_probability_checked(3, 2, attacked, 1.0)
+            escape_probability(3, 2, attacked, 1.0)
         )
     with pytest.raises(AdversaryError):
         escape_probability_sampled(2, 2, 10, 11, 5)

@@ -307,6 +307,36 @@ def test_glt_exchange_matches_reference_draw_for_draw(j, k, n, f, a, trials, see
         assert (got == want).all()
 
 
+@pytest.mark.parametrize("a", [None, 0.5, 1.0])
+@pytest.mark.parametrize("f", [0.5, 1.0])
+def test_glt_exchange_draws_only_what_its_outputs_read(f, a):
+    # Eve reads pristine codewords without a uniform draw, and a full check
+    # draws no order: each stream ends where replaying the kept draws on a
+    # fresh stream of the same seed leaves it
+    j, k, n, trials = 3, 4, 6, 7
+    adversary = None if a is None else AdversarySpec("glt-intercept-resend", attack_fraction=a)
+    cfg = ProtocolConfig(kind="glt2s", fiducial=FiducialSpec(j, k), num_gbits=n,
+                         check_fraction=f, adversary=adversary)
+    rng, rng_eve = _rng_streams(cfg, 5)[:2]
+    hook = _glt_exchange(cfg, rng, rng_eve, trials)[1]
+    want, want_eve = _rng_streams(cfg, 5)[:2]
+    want.integers(0, 2, size=(trials, n))  # Alice's bits
+    want.integers(0, j, size=trials * n)  # Bob's fiducials
+    want.integers(0, k, size=trials * n)  # Bob's uniforms
+    if f < 1:
+        want.random((trials, n))  # the check order
+    assert rng.bit_generator.state == want.bit_generator.state
+    if a is None:
+        assert rng_eve is want_eve is None
+        return
+    attacked = trials * n
+    if a < 1:
+        attacked = int(np.count_nonzero(want_eve.random(trials * n) < a))
+    want_eve.integers(0, j, size=attacked)  # Eve's fiducials
+    assert hook.rounds_attacked == attacked
+    assert rng_eve.bit_generator.state == want_eve.bit_generator.state
+
+
 def test_glt_escape_memory_stays_small():
     # a full check sorts nothing and a full attack copies nothing, so
     # 10**6 gbit-trials hold about seven int64 arrays at the peak
