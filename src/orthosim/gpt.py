@@ -83,7 +83,7 @@ class GbitBlock:
                 f"outcomes must lie in [0, {self.spec.num_outcomes})"
             )
         if self.fiducials is None:  # pristine codewords: one read-only -1, repeated
-            fiducials = np.ndarray(outcomes.shape, np.intp, _MINUS_ONE, 0, (0,))
+            fiducials = np.broadcast_to(_MINUS_ONE, outcomes.shape)
         else:
             fiducials = np.broadcast_to(_indices(self.fiducials, "fiducials"), outcomes.shape)
             if not _in_range(fiducials + 1, self.spec.num_fiducials + 1):
@@ -124,13 +124,6 @@ def _in_range(values: np.ndarray, bound: int) -> bool:
 
 
 _MINUS_ONE = np.array([-1], dtype=np.intp)
-_MINUS_ONE.flags.writeable = False
-
-
-def _fresh(block: GbitBlock) -> bool:
-    """Whether the block was built as pristine codewords, its fiducials a
-    view of :data:`_MINUS_ONE`: told from their base without a scan."""
-    return block.fiducials.base is _MINUS_ONE
 
 
 def _check_fiducials(block: GbitBlock, fiducials) -> np.ndarray:
@@ -159,8 +152,6 @@ def sample_outcome(block: GbitBlock, fiducials, rng) -> np.ndarray:
 def _sample(block: GbitBlock, fiducials: np.ndarray, rng) -> np.ndarray:
     """:func:`sample_outcome` on checked fiducials."""
     uniform = rng.integers(0, block.spec.num_outcomes, size=len(block))
-    if _fresh(block):
-        return block.outcomes.copy()
     definite = (block.fiducials < 0) | (block.fiducials == fiducials)
     return np.where(definite, block.outcomes, uniform)
 
@@ -171,11 +162,13 @@ def measure_fiducial(block: GbitBlock, fiducials, rng) -> tuple[np.ndarray, Gbit
 
     Draws: none when every gbit is a pristine codeword, whose outcome in
     any fiducial is its value; otherwise one ``rng.integers(0, K)`` per
-    gbit, as :func:`sample_outcome` makes.
+    gbit, as :func:`sample_outcome` makes.  The outcomes, shared with the
+    post block, and the post block's fiducials are read-only views.
     """
-    checked = _check_fiducials(block, fiducials)
-    if _fresh(block) or not block.fiducials.size or block.fiducials.max() < 0:
-        outcomes = block.outcomes
+    checked = _check_fiducials(block, fiducials).view()
+    if not block.fiducials.size or block.fiducials.max() < 0:
+        outcomes = block.outcomes.view()
     else:
         outcomes = _sample(block, checked, rng)
+    outcomes.flags.writeable = checked.flags.writeable = False
     return outcomes, _unchecked(block.spec, outcomes, checked)

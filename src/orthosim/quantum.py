@@ -260,12 +260,22 @@ class QuantumRegistry:
         return np.arange(first, first + count)
 
     def slots(self, pairs, qubits=None) -> np.ndarray:
-        """Slot 2 pair + half of each listed particle, validated in one
-        pass: halves by a bitwise test, pairs by an unsigned range test,
-        duplicates by :func:`_repeats` (on the pairs when one half covers
-        the call).  Without ``qubits``, ``pairs`` lists the slots
-        themselves, range-tested against twice the pair count, and come
-        back as that checked array; with them, the slots are a new array."""
+        """Slot 2 pair + half of each listed particle, checked by
+        :meth:`_checked`.  Without ``qubits``, ``pairs`` lists the slots
+        themselves and they come back as the checked array; with them,
+        the slots are a new array."""
+        checked = self._checked(pairs, qubits)
+        if qubits is None or np.ndim(qubits):  # already the slots
+            return checked
+        return checked << 1 | qubits if qubits else checked << 1
+
+    def _checked(self, pairs, qubits) -> np.ndarray:
+        """The listed particles validated in one pass: halves by a bitwise
+        test, pairs by an unsigned range test, duplicates by
+        :func:`_repeats` (on the pairs when one half covers the call).
+        Returns the checked pairs as a 1-D intp array when one half
+        covers the call, else the slots (the pairs themselves without
+        ``qubits``, range-tested against twice the pair count)."""
         pairs = _indices(pairs, "slots" if qubits is None else "pair indices").reshape(-1)
         if qubits is None or isinstance(qubits, (int, np.integer)):  # one half for the call
             halves_ok = qubits in (None, 0, 1)
@@ -279,12 +289,10 @@ class QuantumRegistry:
         limit = 2 * self._code.size if qubits is None else self._code.size
         if pairs.size and pairs.view(np.uintp).max() >= limit:
             raise QuantumValidationError(f"pair index outside [0, {self.num_pairs})")
-        slots = pairs if qubits is None else pairs << 1
-        if np.ndim(qubits) or qubits:  # halves to add: not for None or 0
-            slots |= qubits
-        if _repeats(slots if np.ndim(qubits) else pairs):
+        checked = pairs << 1 | qubits if np.ndim(qubits) else pairs
+        if _repeats(checked):
             raise QuantumValidationError("a particle appears twice in one call")
-        return slots
+        return checked
 
     def _slots_of(self, block: ParticleBlock) -> np.ndarray:
         """A block's slots, checked when it was built; only its registry is
@@ -364,8 +372,7 @@ class QuantumRegistry:
         uniform.  Those are multiples of 1/4, so the outcome is read from
         :data:`_BELL_QUARTER` at the draw's quarter.
         """
-        self.slots(pairs, 0)  # checks the pairs; the slots are dropped before the draws
-        pairs = np.asarray(pairs).astype(np.intp, copy=False).reshape(-1)
+        pairs = self._checked(pairs, 0)
         quarters = (rng.random(pairs.size) * 4).astype(np.int8)
         outcomes = _BELL_QUARTER.take(quarters + 4 * self._code[pairs])
         self._code[pairs] = 3 - outcomes  # BellOutcome k is frame 3 - k

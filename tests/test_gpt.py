@@ -167,6 +167,23 @@ def test_measurement_fixed_point():
     assert post.fiducials.tolist() == state.fiducials.tolist()
 
 
+@pytest.mark.parametrize("before", [None, [0, 1, 0]], ids=["pristine", "measured"])
+def test_measurement_outputs_cannot_edit_the_blocks(before):
+    # the outcomes are shared with the post block, and may view the input's;
+    # its fiducials view the caller's: editing them through what comes back
+    # must fail
+    codewords, chosen = np.array([0, 1, 1]), np.array([1, 1, 0])
+    block = GbitBlock(TWO_TWO, codewords, fiducials=before)
+    outcomes, post = measure_fiducial(block, chosen, np.random.default_rng(2))
+    kept = outcomes.tolist()
+    for array in (outcomes, post.outcomes, post.fiducials):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1 - array[0]
+    assert codewords.tolist() == block.outcomes.tolist() == [0, 1, 1]
+    assert outcomes.tolist() == post.outcomes.tolist() == kept
+    assert post.fiducials.tolist() == chosen.tolist() == [1, 1, 0]
+
+
 def test_measurement_statistics_and_disturbance_shape():
     rng = np.random.default_rng(5)
     trials = 100_000

@@ -598,13 +598,13 @@ def test_each_particle_block_is_validated_once(monkeypatch):
     # were built: a stream run checks its stream and its Bell pairs, a pop
     # run its two blocks and its three Bell-measured pair sets
     calls = []
-    validate = QuantumRegistry.slots
+    validate = QuantumRegistry._checked  # behind slots and bell_measure
 
     def counted(registry, pairs, qubits):
         calls.append(np.size(pairs))
         return validate(registry, pairs, qubits)
 
-    monkeypatch.setattr(QuantumRegistry, "slots", counted)
+    monkeypatch.setattr(QuantumRegistry, "_checked", counted)
     attack = dict(adversary=AdversarySpec("probe", theta=0.4),
                   noise=NoiseSpec("depolarizing", 0.01))
     res = run(stream(seed=3, n=200, threshold=0.2, **attack))
