@@ -267,7 +267,8 @@ class QuantumRegistry:
         checked = self._checked(pairs, qubits)
         if qubits is None or np.ndim(qubits):  # already the slots
             return checked
-        return checked << 1 | qubits if qubits else checked << 1
+        half = int(qubits)  # one half, checked, for every pair
+        return checked << 1 | half if half else checked << 1
 
     def _checked(self, pairs, qubits) -> np.ndarray:
         """The listed particles validated in one pass: halves by a bitwise
