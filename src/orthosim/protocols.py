@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
@@ -79,6 +79,9 @@ _BELL_DECODE = {
     BellOutcome.PHI_PLUS: (1, 1),
 }
 _BELL_BITS = np.array([_BELL_DECODE[BellOutcome(k)] for k in range(4)], dtype=np.int8)
+# a singlet measures PSI_MINUS, the one outcome that decodes to (0, 0); a
+# plain int, which arrays compare against several times faster than an enum
+_SINGLET = int(BellOutcome.PSI_MINUS)
 
 
 class ProtocolError(ValueError):
@@ -131,9 +134,10 @@ class RunResult:
     def _json_fields(self) -> dict:
         """Every document field but the transcript: scalars, flat lists
         and dicts of those."""
+        # both records have flat fields, which asdict would run through deepcopy
         report = None
         if self.attack_report is not None:
-            report = dict(vars(self.attack_report))  # flat fields: asdict would deepcopy the events
+            report = dict(vars(self.attack_report))
             report["detection_events"] = list(map(bool, report["detection_events"]))
         return {
             "schema": RESULT_SCHEMA,
@@ -146,7 +150,7 @@ class RunResult:
             "alice_payload": list(self.alice_payload),
             "bob_payload": list(self.bob_payload),
             "detection_events": list(map(bool, self.detection_events)),
-            "verdict": asdict(self.verdict) if self.verdict else None,
+            "verdict": dict(vars(self.verdict)) if self.verdict else None,
             "attack_report": report,
         }
 
@@ -417,12 +421,12 @@ def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunRes
     registry = QuantumRegistry()
     rounds = config.block_size
 
-    pairs = registry.allocate(rounds)
+    stream = registry.allocate(rounds)  # half 0, then half 1 of each pair
     alice_bits = rng.integers(0, 2, size=(rounds, 2))
-    stream = ParticleBlock(registry, np.arange(2 * rounds))  # slot 2 pair + half
-    _dense_encode(stream.take(slice(0, None, 2)), alice_bits)  # half 0 of each pair
+    encoded = stream.take(slice(0, None, 2))  # half 0 of each pair
+    _dense_encode(encoded, alice_bits)
     channel.send_block(stream, None, stream=True)
-    bob_bits = _BELL_BITS.take(registry.bell_measure(pairs, rng), axis=0)
+    bob_bits = _BELL_BITS.take(registry.bell_measure(encoded, rng), axis=0)
 
     num_checks = round(config.check_fraction * rounds)
     check_rounds = np.sort(rng.choice(rounds, size=num_checks, replace=False))
@@ -456,16 +460,35 @@ def run_stream_qkd(config: ProtocolConfig, seed: Optional[int] = None) -> RunRes
 # ---------------------------------------------------------------- PoP QSDC
 
 
-def _bell_check(registry, pairs, compared, rng) -> tuple[np.ndarray, int]:
-    """Bell-measure pairs that should still be singlets; returns the
-    detection event of each compared pair (positions into pairs), in
-    pair order, and their count of wrong bits."""
-    is_compared = np.zeros(pairs.size, dtype=bool)
-    is_compared[compared] = True
-    outcomes = registry.bell_measure(pairs, rng)[is_compared]
-    # a singlet measures PSI_MINUS, the one outcome that decodes to (0, 0)
-    wrong = int(np.count_nonzero(_BELL_BITS.take(outcomes, axis=0)))
-    return outcomes != BellOutcome.PSI_MINUS, wrong
+def _bell_check(halves: ParticleBlock, compared: np.ndarray, rng) -> tuple[np.ndarray, int]:
+    """Bell-measure the pairs of these halves, which should still be
+    singlets; returns the detection event of each compared pair
+    (positions into halves), in block order, and their count of wrong bits."""
+    outcomes = halves.registry.bell_measure(halves, rng).take(np.sort(compared))
+    return outcomes != _SINGLET, int(np.count_nonzero(_BELL_BITS.take(outcomes, axis=0)))
+
+
+def _send_block1(channel: Channel, registry: QuantumRegistry, check_pairs: np.ndarray, rng):
+    """Steps (a) and (b) of a PoP run: the 3N singlets, and block 1 (both
+    halves of each check pair, half 1 of the rest, in slot order) sent
+    under a fresh uniform permutation.  Returns half 0 of each check pair
+    and block 2 (half 0 of the rest), in pair order, and the only parts
+    of block 1 read later: the delivery positions of both halves of each
+    check pair, and of half 1 of each retained pair in block-2 order."""
+    n_pairs = check_pairs.size
+    near = 2 * check_pairs  # the slot (2 pair + half) of half 0 of each check pair
+    sent = np.zeros(6 * n_pairs, dtype=bool)
+    sent[1::2] = True
+    sent[near] = True
+    particles = registry.allocate(3 * n_pairs)  # every slot, in slot order
+    check_halves, block1, block2 = particles.take(near), particles.take(sent), particles.take(~sent)
+    del particles  # only its parts are read from here on
+    delivered = channel.send_block(block1, rng.permutation(4 * n_pairs), sender="alice")
+    del block1  # delivered holds its particles, in delivery order
+    position = np.full(sent.size, -1, dtype=np.intp)  # -1 at slots not delivered in block 1
+    position[delivered.slots] = np.arange(len(delivered))
+    check_position = position.reshape(-1, 2).take(check_pairs, axis=0)
+    return check_halves, block2, check_position, position.take(block2.slots + 1)
 
 
 def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResult:
@@ -492,35 +515,20 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
     registry = QuantumRegistry()
 
     n_pairs = config.block_size
-    total = 3 * n_pairs
     message = config.message_bits
     code_len = repetition_length(config.threshold)
 
-    registry.allocate(total)
-    check_pairs = np.sort(rng.choice(total, size=n_pairs, replace=False))
-    is_check = np.zeros(total, dtype=bool)
-    is_check[check_pairs] = True
-    retained = np.flatnonzero(~is_check)
-
-    # canonical block-1 layout, in slot order: both halves of check pairs, far half otherwise
-    sent = np.ones((total, 2), dtype=bool)
-    sent[:, 0] = is_check
-    block1 = ParticleBlock(registry, np.flatnonzero(sent))  # flat index 2 pair + half: the slot
-    # from here on, block 1 as delivered: scrambled by a fresh uniform permutation
-    block1 = channel.send_block(block1, rng.permutation(len(block1)), sender="alice")
-    # block-1 delivery position of each (pair, half) sent in it, else -1;
-    # row-major, so slot 2 pair + half is its flat index
-    position = np.full((total, 2), -1, dtype=np.intp)
-    position.reshape(-1)[block1.slots] = np.arange(len(block1))
+    check_pairs = np.sort(rng.choice(3 * n_pairs, size=n_pairs, replace=False))
+    check_halves, block2, check_position, far_position = _send_block1(
+        channel, registry, check_pairs, rng
+    )
 
     # (c) first check: reveal check-pair positions, Bell-check a fraction
     num_compared = round(config.check_fraction * n_pairs)
     compared = rng.choice(n_pairs, size=num_compared, replace=False)
     # each reveal travels as the index arrays it is read from: pair, then positions
-    channel.broadcast(
-        (check_pairs, position.take(check_pairs, axis=0)), "alice", f"check-pair reveal n={n_pairs}"
-    )
-    events_first, wrong_first = _bell_check(registry, check_pairs, compared, rng)
+    channel.broadcast((check_pairs, check_position), "alice", f"check-pair reveal n={n_pairs}")
+    events_first, wrong_first = _bell_check(check_halves, compared, rng)
     channel.broadcast(check_pairs[compared], "bob", f"compared checks n={num_compared}")
     error_first = wrong_first / (2 * num_compared)
 
@@ -537,25 +545,23 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
 
     # (d) repetition-code the message and dense-encode on N retained halves
     coded = np.zeros(2 * n_pairs, dtype=np.int8)
-    coded[: code_len * len(message)] = np.repeat(message, code_len)
-    # retained is ascending, so sorted positions in it (block 2) give sorted pairs
-    message_index = np.sort(rng.choice(retained.size, size=n_pairs, replace=False))
-    message_pairs = retained[message_index]
-    is_second = np.ones(retained.size, dtype=bool)
+    coded[: code_len * len(message)] = np.array(message, dtype=np.int8).repeat(code_len)
+    # sorted positions in block 2, which is in pair order, give sorted pairs
+    message_index = np.sort(rng.choice(len(block2), size=n_pairs, replace=False))
+    is_second = np.ones(len(block2), dtype=bool)
     is_second[message_index] = False
-    block2_index = np.flatnonzero(is_second)
-    second_pairs = retained[block2_index]
-    block2 = ParticleBlock(registry, retained, 0)
-    _dense_encode(block2.take(message_index), coded.reshape(n_pairs, 2))
+    second_index = is_second.nonzero()[0]
+    message_halves, second_halves = block2.take(message_index), block2.take(second_index)
+    _dense_encode(message_halves, coded.reshape(n_pairs, 2))
     channel.send_block(block2, None, sender="alice")
 
     # (e) second check on the untouched pairs, then message reveal
-    compared2 = rng.choice(second_pairs.size, size=num_compared, replace=False)
+    compared2 = rng.choice(len(second_halves), size=num_compared, replace=False)
     channel.broadcast(
-        (second_pairs, position[second_pairs, 1], block2_index), "alice",
-        f"second-check reveal n={second_pairs.size}",
+        (second_halves.pairs, far_position.take(second_index), second_index), "alice",
+        f"second-check reveal n={len(second_halves)}",
     )
-    events_second, wrong_second = _bell_check(registry, second_pairs, compared2, rng)
+    events_second, wrong_second = _bell_check(second_halves, compared2, rng)
     error_second = wrong_second / (2 * num_compared)
     events = tuple(events_first.tolist() + events_second.tolist())
     if error_second > max(error_first, config.threshold):
@@ -563,21 +569,20 @@ def run_pop_qsdc(config: ProtocolConfig, seed: Optional[int] = None) -> RunResul
             config, channel, hook, True, error_first, (), (), events, eve_info, error_second
         )
 
-    reveal3 = (message_pairs, position[message_pairs, 1], message_index, np.arange(n_pairs))
+    message_position = far_position.take(message_index)
+    reveal3 = (message_halves.pairs, message_position, message_index, np.arange(n_pairs))
     channel.broadcast(
         {"pairs": reveal3, "repetition": code_len, "length": len(message)},
         "alice",
         f"message reveal n={n_pairs} r={code_len}",
     )
-    decoded = _BELL_BITS.take(registry.bell_measure(message_pairs, rng), axis=0).ravel()
+    decoded = _BELL_BITS.take(registry.bell_measure(message_halves, rng), axis=0).ravel()
     votes = decoded[: code_len * len(message)].reshape(-1, code_len).sum(1)
     bob_message = tuple((votes * 2 > code_len).astype(int).tolist())
     guess_fields = {}
     if hook is not None and config.adversary.guess_pairing:
-        # message pair p: half 1 in block 1, half 0 at its retained index
-        truth = zip(
-            position[message_pairs, 1].tolist(), (len(block1) + message_index).tolist()
-        )
+        # message pair p: half 1 at its block-1 position, half 0 at 4N + its block-2 index
+        truth = zip(message_position.tolist(), (4 * n_pairs + message_index).tolist())
         guess = permutation_attack(
             list(truth),
             rng_eve,
@@ -622,12 +627,19 @@ def block_reduce(config: ProtocolConfig) -> ProtocolConfig:
     adversary) transport unchanged; the key payload becomes a message
     slot sized to what the repetition code can carry, filled with a
     placeholder all-zeros message; derived_from records the source digest.
+    A block whose repetition code fits no message bit is refused here, as
+    key_reduce refuses a key it cannot carry.
     """
     if config.kind != "stream-qkd":
         raise ConfigValidationError(
             [f"block reduction expects a stream-qkd config, got {config.kind!r}"]
         )
     length = max_message_length(config.block_size, config.threshold)
+    if length < 1:
+        raise ConfigValidationError([
+            f"block reduction at N={config.block_size}, e0={config.threshold} carries no"
+            f" message bit: the runnable message length is at most {length}"
+        ])
     return ProtocolConfig(
         kind="pop-qsdc",
         seed=config.seed,

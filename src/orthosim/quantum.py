@@ -194,13 +194,16 @@ _PAULI, _P0, _AFTER, _BELL_CUMULATIVE, _BELL_QUARTER = _pair_tables()
 _MARK_SPAN = 8
 
 
-def _repeats(values: np.ndarray) -> bool:
+def _repeats(values: np.ndarray, high: int | None = None) -> bool:
     """Whether any of these nonnegative integers appears twice, in time
-    and memory that grow with their count, not with their largest value."""
+    and memory that grow with their count, not with their largest value.
+    ``high`` bounds them from above when a caller's range test already
+    found their largest."""
     if values.size < 2:
         return False
     limit = _MARK_SPAN * values.size
-    high = int(values.max())
+    if high is None:
+        high = int(values.max())
     low = int(values.min()) if high >= limit else 0
     if high - low >= limit:
         ordered = np.sort(values)
@@ -239,9 +242,9 @@ class QuantumRegistry:
     Z, X and Bell measurements keep this exact (Pauli-frame tracking) as
     lookups in tables built at import; probes are traced out as they attach.
 
-    The per-half operations take a :class:`ParticleBlock`, whose
-    particles were checked once, when it was built, and check none of
-    them again; :meth:`bell_measure` takes pair indices and checks them.
+    Every operation takes a :class:`ParticleBlock`, whose particles were
+    checked once, when it was built, and checks none of them again;
+    :meth:`bell_measure` takes one half of each pair it measures.
     """
 
     def __init__(self) -> None:
@@ -251,32 +254,24 @@ class QuantumRegistry:
     def num_pairs(self) -> int:
         return self._code.size
 
-    def allocate(self, count: int = 1) -> np.ndarray:
-        """Add ``count`` singlets; returns their pair indices."""
+    def allocate(self, count: int = 1) -> ParticleBlock:
+        """Add ``count`` singlets; returns the block of their particles in
+        slot order (half 0, then half 1 of each new pair), built here and
+        so not checked, as :meth:`ParticleBlock.take` builds its parts."""
         if count < 1:
             raise QuantumValidationError(f"count must be positive, got {count}")
         first = self.num_pairs
         self._code = np.concatenate([self._code, np.zeros(count, dtype=np.int8)])
-        return np.arange(first, first + count)
+        return _unchecked(self, np.arange(2 * first, 2 * (first + count)))
 
     def slots(self, pairs, qubits=None) -> np.ndarray:
-        """Slot 2 pair + half of each listed particle, checked by
-        :meth:`_checked`.  Without ``qubits``, ``pairs`` lists the slots
-        themselves and they come back as the checked array; with them,
-        the slots are a new array."""
-        checked = self._checked(pairs, qubits)
-        if qubits is None or np.ndim(qubits):  # already the slots
-            return checked
-        half = int(qubits)  # one half, checked, for every pair
-        return checked << 1 | half if half else checked << 1
-
-    def _checked(self, pairs, qubits) -> np.ndarray:
-        """The listed particles validated in one pass: halves by a bitwise
-        test, pairs by an unsigned range test, duplicates by
-        :func:`_repeats` (on the pairs when one half covers the call).
-        Returns the checked pairs as a 1-D intp array when one half
-        covers the call, else the slots (the pairs themselves without
-        ``qubits``, range-tested against twice the pair count)."""
+        """Slot 2 pair + half of each listed particle, validated in one
+        pass: halves by a bitwise test, pairs by an unsigned range test,
+        duplicates by :func:`_repeats` (on the pairs when one half covers
+        the call).  Without ``qubits``, ``pairs`` lists the slots
+        themselves, range-tested against twice the pair count, and they
+        come back as the checked array; with them, the slots are a new
+        array."""
         pairs = _indices(pairs, "slots" if qubits is None else "pair indices").reshape(-1)
         if qubits is None or isinstance(qubits, (int, np.integer)):  # one half for the call
             halves_ok = qubits in (None, 0, 1)
@@ -287,13 +282,21 @@ class QuantumRegistry:
             halves_ok = not np.count_nonzero(qubits & -2)
         if not halves_ok:
             raise QuantumValidationError("a pair holds qubits 0 and 1 only")
+        if not pairs.size:
+            return pairs
         limit = 2 * self._code.size if qubits is None else self._code.size
-        if pairs.size and pairs.view(np.uintp).max() >= limit:
+        # one max serves the range test and the duplicate marks' span
+        high = int(pairs.view(np.uintp).max())
+        if high >= limit:
             raise QuantumValidationError(f"pair index outside [0, {self.num_pairs})")
-        checked = pairs << 1 | qubits if np.ndim(qubits) else pairs
-        if _repeats(checked):
+        if np.ndim(qubits):  # halves per pair: check the slots, each at most 2 high + 1
+            pairs, high = pairs << 1 | qubits, 2 * high + 1
+        if _repeats(pairs, high):
             raise QuantumValidationError("a particle appears twice in one call")
-        return checked
+        if qubits is None or np.ndim(qubits):  # already the slots
+            return pairs
+        half = int(qubits)  # one half, checked, for every pair
+        return pairs << 1 | half if half else pairs << 1
 
     def _slots_of(self, block: ParticleBlock) -> np.ndarray:
         """A block's slots, checked when it was built; only its registry is
@@ -363,9 +366,11 @@ class QuantumRegistry:
         flip = rng.random(slots.size) < (1.0 - math.cos(spec.theta)) / 2.0
         self._apply(slots[flip], 1)
 
-    def bell_measure(self, pairs, rng) -> np.ndarray:
-        """Bell-basis measurement of each listed pair's two halves;
-        returns BellOutcome values and leaves each pair in that Bell state.
+    def bell_measure(self, block: ParticleBlock, rng) -> np.ndarray:
+        """Bell-basis measurement of the pair of each particle of the
+        block, which must hold one half of each pair, the same half for
+        all; returns BellOutcome values, in block order, and leaves each
+        pair in that Bell state.
 
         One uniform per pair meets the cumulative Born probabilities of
         the pair's code in BellOutcome order: a frame fixes the outcome, a
@@ -373,7 +378,10 @@ class QuantumRegistry:
         uniform.  Those are multiples of 1/4, so the outcome is read from
         :data:`_BELL_QUARTER` at the draw's quarter.
         """
-        pairs = self._checked(pairs, 0)
+        slots = self._slots_of(block)
+        if np.count_nonzero(slots & 1) not in (0, slots.size):  # both halves would name a pair twice
+            raise QuantumValidationError("a Bell measurement takes one half of each pair")
+        pairs = slots >> 1
         quarters = (rng.random(pairs.size) * 4).astype(np.int8)
         outcomes = _BELL_QUARTER.take(quarters + 4 * self._code[pairs])
         self._code[pairs] = 3 - outcomes  # BellOutcome k is frame 3 - k
@@ -387,8 +395,9 @@ class ParticleBlock:
     ``registry``.  The block is checked once, when it is built from pair
     indices and halves (a scalar half covers the block) or from slots
     alone: every pair in the registry, every half 0 or 1, no particle
-    twice.  Its parts (:meth:`take`) and the registry operations that
-    take it check none of its particles again.
+    twice.  The block :meth:`QuantumRegistry.allocate` returns is built
+    unchecked, as are a block's parts (:meth:`take`); the registry
+    operations that take a block check none of its particles again.
     """
 
     __slots__ = ("registry", "slots")
@@ -411,9 +420,14 @@ class ParticleBlock:
     def take(self, index) -> ParticleBlock:
         """The particles at ``index`` (gather semantics, a slice, or a
         mask), not checked again: ``index`` must not repeat a position."""
-        part = object.__new__(ParticleBlock)
-        part.registry, part.slots = self.registry, self.slots[index]
-        return part
+        return _unchecked(self.registry, self.slots[index])
+
+
+def _unchecked(registry: QuantumRegistry, slots: np.ndarray) -> ParticleBlock:
+    """A block of slots that are valid and distinct by construction."""
+    block = object.__new__(ParticleBlock)
+    block.registry, block.slots = registry, slots
+    return block
 
 
 # --------------------------------------------------------------- Holevo helpers

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .gpt import GbitBlock
-from .quantum import NoiseChannel, ParticleBlock
+from .quantum import NoiseChannel, ParticleBlock, _repeats
 
 __all__ = [
     "Channel",
@@ -162,16 +162,21 @@ class Transcript:
         """Log record and its repeats on the next count - 1 rounds."""
         if count < 0:
             raise TransportError(f"negative record count {count}")
-        if self.runs and record.round_index <= self.last_round:
-            raise TransportError("round indices must be strictly increasing")
-        if not count:
-            return
-        if self.runs and record.round_index == self.last_round + 1:
+        if self.runs:
             first, run = self.runs[-1]
-            if _template(first) == _template(record):
+            after = first.round_index + run  # the round after the last
+            if record.round_index < after:
+                raise TransportError("round indices must be strictly increasing")
+            if count and record.round_index == after and _template(first) == _template(record):
                 self.runs[-1] = (first, run + count)
                 return
-        self.runs.append((record, count))
+        if count:
+            self.runs.append((record, count))
+
+    def log(self, channel: str, sender: str, payload: str, tampered: bool, count: int = 1) -> None:
+        """Append a record of this event on the round after the last, and
+        its repeats on the next count - 1 rounds."""
+        self.append(TranscriptRecord(self.last_round + 1, channel, sender, payload, tampered), count)
 
     @property
     def records(self) -> list[TranscriptRecord]:
@@ -246,11 +251,12 @@ def _gather_index(perm, size: int) -> np.ndarray:
     if index.shape != (size,) or (size and index.dtype.kind not in "iu"):
         raise TransportError(f"perm of {index.dtype} shape {index.shape} cannot order {size} carriers")
     index = index.astype(np.intp, copy=False)
-    if size and index.view(np.uintp).max() >= size:
+    if not size:
+        return index
+    high = int(index.view(np.uintp).max())  # the range test's max spans the marks too
+    if high >= size:
         raise TransportError(f"perm has an entry outside [0, {size})")
-    seen = np.zeros(size, dtype=bool)  # one byte per carrier
-    seen[index] = True
-    if np.count_nonzero(seen) < size:
+    if _repeats(index, high):  # one byte per carrier
         raise TransportError("perm has an entry twice")
     return index
 
@@ -304,17 +310,13 @@ class Channel:
         if self.noise is not None:
             block.registry.apply_noise(block, self.noise, self.noise_rng)
         count, size = (len(block), 1) if stream else (1, len(block))
-        record = TranscriptRecord(
-            self.transcript.last_round + 1, "carrier", sender,
-            f"block len={size} kinds={kind}", self.eve_hook is not None,
+        self.transcript.log(
+            "carrier", sender, f"block len={size} kinds={kind}", self.eve_hook is not None, count
         )
-        self.transcript.append(record, count)
         return block
 
     def broadcast(self, payload: object, sender: str, description: str) -> object:
         """Authenticated classical broadcast, logged in the public
         transcript; Eve cannot write it."""
-        self.transcript.append(TranscriptRecord(
-            self.transcript.last_round + 1, "classical", sender, description, False
-        ))
+        self.transcript.log("classical", sender, description, False)
         return payload

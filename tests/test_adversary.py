@@ -215,7 +215,7 @@ def test_glt_intercept_attack_fraction():
 
 def test_glt_intercept_rejects_particles():
     reg = QuantumRegistry()
-    pairs = reg.allocate()
+    pairs = reg.allocate().pairs[::2]
     hook = GltInterceptResend(np.random.default_rng(0))
     with pytest.raises(AdversaryError):
         hook.intercept(ParticleBlock(reg, pairs, 0))
@@ -244,7 +244,7 @@ def test_quantum_intercept_transparent_on_z_eigenstates():
     rng = np.random.default_rng(8)
     hook = QuantumInterceptResend("Z", rng)
     reg = QuantumRegistry()
-    pairs = reg.allocate(64)
+    pairs = reg.allocate(64).pairs[::2]
     prepared = reg.measure(ParticleBlock(reg, pairs, 0), "Z", rng)  # half 0 holds a Z eigenstate
     assert 0 < prepared.sum() < 64
     hook.intercept(ParticleBlock(reg, pairs, 0))
@@ -261,7 +261,7 @@ def test_quantum_intercept_disturbs_conjugate_states():
     hook = QuantumInterceptResend("Z", rng)
     trials = 20_000
     reg = QuantumRegistry()
-    pairs = reg.allocate(trials)
+    pairs = reg.allocate(trials).pairs[::2]
     prepared = reg.measure(ParticleBlock(reg, pairs, 0), "X", rng)  # half 0 holds an X eigenstate
     hook.intercept(ParticleBlock(reg, pairs, 0))
     errors = int((reg.measure(ParticleBlock(reg, pairs, 0), "X", rng) != prepared).sum())
@@ -283,10 +283,10 @@ def test_quantum_intercept_singlet_bell_distribution():
         BellOutcome.PHI_PLUS: (1, 1),
     }
     reg = QuantumRegistry()
-    pairs = reg.allocate(trials)
+    pairs = reg.allocate(trials).pairs[::2]
     hook.intercept(ParticleBlock(reg, pairs, 0))
     hook.intercept(ParticleBlock(reg, pairs, 1))
-    for outcome in reg.bell_measure(pairs, rng).tolist():
+    for outcome in reg.bell_measure(ParticleBlock(reg, pairs, 0), rng).tolist():
         counts[outcome] += 1
         bits = decode[outcome]
         wrong_bits += bits[0] + bits[1]  # truth is (0, 0)
@@ -311,10 +311,10 @@ def test_quantum_intercept_random_basis_error_rate():
     }
     wrong_bits = 0
     reg = QuantumRegistry()
-    pairs = reg.allocate(trials)
+    pairs = reg.allocate(trials).pairs[::2]
     hook.intercept(ParticleBlock(reg, pairs, 0))
     hook.intercept(ParticleBlock(reg, pairs, 1))
-    for outcome in reg.bell_measure(pairs, rng).tolist():
+    for outcome in reg.bell_measure(ParticleBlock(reg, pairs, 0), rng).tolist():
         bits = decode[outcome]
         wrong_bits += bits[0] + bits[1]
     e = wrong_bits / (2 * trials)
@@ -366,7 +366,7 @@ def test_intercept_resend_joint_outcomes_match_exact_oracle(basis):
     n = len(cells)
     for code in ((0, 0), (0, 1), (1, 0), (1, 1)):
         reg = QuantumRegistry()
-        pairs = reg.allocate(n)
+        pairs = reg.allocate(n).pairs[::2]
         reg.apply_pauli(ParticleBlock(reg, pairs, 0), x=code[1], z=code[0])
         halves = np.tile([0, 1], n)
         draws = cells[:, :2].ravel()  # the stream is half 0, half 1 of each pair
@@ -378,7 +378,7 @@ def test_intercept_resend_joint_outcomes_match_exact_oracle(basis):
         hook = QuantumInterceptResend(basis, rng)
         hook.intercept(ParticleBlock(reg, np.repeat(pairs, 2), halves))
         eve = hook.observations[-1][1].reshape(n, 2)
-        bob = reg.bell_measure(pairs, _PresetDraws(cells[:, 2]))
+        bob = reg.bell_measure(ParticleBlock(reg, pairs, 0), _PresetDraws(cells[:, 2]))
         for c, bases in enumerate(combos):
             mine = choice == c
             engine = np.zeros((2, 2, 4))
@@ -393,7 +393,7 @@ def test_quantum_intercept_attack_fraction():
     hook = QuantumInterceptResend("Z", rng, attack_fraction=0.3)
     trials = 20_000
     reg = QuantumRegistry()
-    pairs = reg.allocate(trials)
+    pairs = reg.allocate(trials).pairs[::2]
     hook.intercept(ParticleBlock(reg, pairs, 0))
     assert_frequency(hook.rounds_attacked, trials, 0.3, 5.0)
     bases, outcomes = hook.observations[-1]
@@ -415,11 +415,11 @@ def test_probe_attack_transparent_at_zero():
     rng = np.random.default_rng(12)
     hook = ProbeAttack(ProbeAttackSpec(0.0), np.random.default_rng(0))
     reg = QuantumRegistry()
-    pairs = reg.allocate(1000)
+    pairs = reg.allocate(1000).pairs[::2]
     for half in (0, 1):
         hook.intercept(ParticleBlock(reg, pairs, half))
     assert hook.rounds_attacked == 2000
-    assert (reg.bell_measure(pairs, rng) == BellOutcome.PSI_MINUS).all()
+    assert (reg.bell_measure(ParticleBlock(reg, pairs, 0), rng) == BellOutcome.PSI_MINUS).all()
 
 
 def test_probe_attack_flips_from_the_eve_stream():
@@ -429,9 +429,9 @@ def test_probe_attack_flips_from_the_eve_stream():
     q = (1.0 - math.cos(theta)) / 2.0
     hook = ProbeAttack(ProbeAttackSpec(theta), np.random.default_rng(21))
     reg = QuantumRegistry()
-    pairs = reg.allocate(trials)
+    pairs = reg.allocate(trials).pairs[::2]
     hook.intercept(ParticleBlock(reg, pairs, 0))
-    flipped = reg.bell_measure(pairs, np.random.default_rng(0)) == BellOutcome.PSI_PLUS
+    flipped = reg.bell_measure(ParticleBlock(reg, pairs, 0), np.random.default_rng(0)) == BellOutcome.PSI_PLUS
     assert (flipped == (np.random.default_rng(21).random(trials) < q)).all()
     assert_frequency(int(flipped.sum()), trials, q, 5.0)
 

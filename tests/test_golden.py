@@ -12,12 +12,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 
 import pytest
 
 from orthosim.config import AdversarySpec, NoiseSpec, ProtocolConfig
 from orthosim.gpt import FiducialSpec
-from orthosim.protocols import run
+from orthosim.protocols import block_reduce, run
 
 CONFIGS = {
     "glt2s-clean": ProtocolConfig(kind="glt2s", fiducial=FiducialSpec(2, 2), num_gbits=40),
@@ -74,6 +75,17 @@ CONFIGS = {
         adversary=AdversarySpec("probe", theta=0.4),
         noise=NoiseSpec("depolarizing", 0.01),
     ),
+    # the benchmark's pop-exact shape: a reduced stream source at N = 3;
+    # seed 2 aborts on the first check
+    "pop-exact": block_reduce(ProtocolConfig(
+        kind="stream-qkd", block_size=3, threshold=0.01, check_fraction=0.5,
+        adversary=AdversarySpec("probe", theta=math.pi / 4),
+    )),
+    "pop-probed-noisy-64": ProtocolConfig(
+        kind="pop-qsdc", block_size=64, threshold=0.1, message_bits=(0, 1, 1, 0, 1),
+        adversary=AdversarySpec("probe", theta=0.3, guess_pairing=True),
+        noise=NoiseSpec("depolarizing", 0.02),
+    ),
 }
 SEEDS = (1, 2)
 
@@ -88,6 +100,8 @@ GOLDEN = {
     ('glt2s-partial', 2): '4ab20ac44be867e9f987a40c0191c19b431fa84fea50e65d9c7fcd3eb37f8555',
     ('pop-clean', 1): 'ec4209f994db799371a1464a64f7b34c6e4d637a43b0dac79c5b524bf2ef87f3',
     ('pop-clean', 2): 'ec4209f994db799371a1464a64f7b34c6e4d637a43b0dac79c5b524bf2ef87f3',
+    ('pop-exact', 1): '5e37d97b43f338de214e66936662f0940cbdc123dda4070530c47ded27a3975b',
+    ('pop-exact', 2): 'b29297d12aa6855196c24d8203a78cb4e06dbb66b0cda6ef5992302282457b4d',
     ('pop-intercepted', 1): '584e6033ac6ba923eca26b3b7cb10d4c704826d8d135d404cd849b9becf2b331',
     ('pop-intercepted', 2): '39d6a3096c523859c64dc42b0d5d090e725f37c7d6ab60e1fa717e91a559fb58',
     ('pop-noisy', 1): 'a1be7741d69a50a2bdf165ea0bd41e2cb2cf1302a669bb69d4d03b048a317190',
@@ -98,6 +112,8 @@ GOLDEN = {
     ('pop-probed-exact', 2): '168abb5ded3a11b6525fd5fcde50fd580e33248aa6541555bf73699988dd5f9c',
     ('pop-probed-noisy', 1): 'f2d7c148ca47ac38f165e0e63e7d2a6fc9e78b336cac0676839d2369cda51cc1',
     ('pop-probed-noisy', 2): '45f6b44245fe966393d0d99703a65fa27eb4d582d6964f63ae403cf1ee7da097',
+    ('pop-probed-noisy-64', 1): '7a1afe1874c2cf4012f44ad08f014db51af34dbe266f72654654b9b58a8d33af',
+    ('pop-probed-noisy-64', 2): '99a53ecf3a8200c0007f7bfce214b64d8ce315669b8d7143f4e76bf1bd166496',
     ('stream-1000', 1): 'bb40da98b6af5aa9ec03c12219e20661a6aba7453d6ee72bac3ad146eed43f37',
     ('stream-1000', 2): '5949186f20ebb7b1ab4291cf69358ce5bf6f2adf74bcf1f54c5e5cac39747806',
     ('stream-clean', 1): 'abadb0b27c871d0ac75c48f852123d7e03eb57e74c9d48de247f706fdfaa742c',

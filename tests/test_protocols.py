@@ -19,7 +19,7 @@ from orthosim.config import (
     ProtocolConfig,
     derive_seed,
 )
-from orthosim import gpt
+from orthosim import gpt, transport
 from orthosim.gpt import FiducialSpec, GbitBlock
 from orthosim.metrics import binary_entropy
 from orthosim.protocols import (
@@ -40,7 +40,7 @@ from orthosim.protocols import (
     run_stream_qkd,
 )
 from orthosim.quantum import BellOutcome, QuantumRegistry
-from orthosim.transport import Transcript
+from orthosim.transport import Transcript, TranscriptRecord
 
 from conftest import assert_frequency, binomial_margin
 from oracle import reference_glt_exchange
@@ -571,14 +571,14 @@ def test_large_pop_run_memory_stays_small():
 @pytest.mark.parametrize(
     "config, gate",
     [
-        (stream(seed=2, n=1_000_000, threshold=0.2), 85e6),
-        (pop(seed=2, n=1_000_000, message=(1, 0, 1), threshold=0.1), 240e6),
+        (stream(seed=2, n=1_000_000, threshold=0.2), 77e6),
+        (pop(seed=2, n=1_000_000, message=(1, 0, 1), threshold=0.1), 190e6),
     ],
     ids=["stream-qkd", "pop-qsdc"],
 )
 def test_million_pair_run_memory_stays_under_its_gate(config, gate):
-    # probed and noisy at N = 10**6, a stream run peaks at 78 MB and a pop
-    # run at 220 MB under tracemalloc; each gate is its peak plus under 10%
+    # probed and noisy at N = 10**6, a stream run peaks at 70 MB and a pop
+    # run at 173 MB under tracemalloc; each gate is its peak plus under 10%
     config = dataclasses.replace(
         config, adversary=AdversarySpec("probe", theta=0.4), noise=NoiseSpec("depolarizing", 0.01)
     )
@@ -594,26 +594,40 @@ def test_million_pair_run_memory_stays_under_its_gate(config, gate):
 
 
 def test_each_particle_block_is_validated_once(monkeypatch):
-    # the channel, the probe and the noise act on blocks checked when they
-    # were built: a stream run checks its stream and its Bell pairs, a pop
-    # run its two blocks and its three Bell-measured pair sets
-    calls = []
-    validate = QuantumRegistry._checked  # behind slots and bell_measure
+    # raw indices are checked once, where a caller builds a block from them:
+    # a stream run builds none (allocate hands back its particles unchecked
+    # and every other block is a part of them), a pop run only checks the
+    # permutation that scrambles block 1; and each transcript record is
+    # built once, on the round after the last
+    checks, records = [], []
+    validate, gather = QuantumRegistry.slots, transport._gather_index
+    built = TranscriptRecord.__post_init__
 
-    def counted(registry, pairs, qubits):
-        calls.append(np.size(pairs))
+    def counted_check(registry, pairs, qubits=None):
+        checks.append(np.size(pairs))
         return validate(registry, pairs, qubits)
 
-    monkeypatch.setattr(QuantumRegistry, "_checked", counted)
+    def counted_gather(perm, size):
+        checks.append(size)
+        return gather(perm, size)
+
+    def counted_record(record):
+        records.append(record.round_index)
+        built(record)
+
+    monkeypatch.setattr(QuantumRegistry, "slots", counted_check)
+    monkeypatch.setattr(transport, "_gather_index", counted_gather)
+    monkeypatch.setattr(TranscriptRecord, "__post_init__", counted_record)
     attack = dict(adversary=AdversarySpec("probe", theta=0.4),
                   noise=NoiseSpec("depolarizing", 0.01))
     res = run(stream(seed=3, n=200, threshold=0.2, **attack))
     assert res.outcome == "completed" and res.attack_report.rounds_attacked == 400
-    assert calls == [400, 200]
-    calls.clear()
+    assert checks == [] and records == [1, 401, 402]
+    checks.clear()
+    records.clear()
     res = run(pop(seed=3, n=200, message=(1, 0, 1), threshold=0.1, **attack))
     assert res.outcome == "completed" and res.bob_payload == (1, 0, 1)
-    assert calls == [800, 200, 400, 200, 200]
+    assert checks == [800] and records == [1, 2, 3, 4, 5, 6]
 
 
 def test_result_serializes_to_plain_json():
@@ -659,6 +673,16 @@ def test_block_reduce_respects_repetition_fit():
     # capacity floor(14 * (1-h(.05))) = 9 but only two length-7 codewords fit
     assert len(reduced.message_bits) == 2
     assert run(reduced).outcome == "completed"
+
+
+def test_block_reduce_refuses_a_block_that_carries_no_message_bit():
+    # at N = 3 and e0 = 0.11 the repetition code is longer than the 6 coded
+    # slots: the reduction fails at once, naming N, e0 and the limit
+    source = stream(seed=6, n=3, threshold=0.11)
+    assert source.validate() == []
+    with pytest.raises(ConfigValidationError, match=r"N=3, e0=0\.11 .* at most 0"):
+        block_reduce(source)
+    assert len(block_reduce(stream(seed=6, n=3, threshold=0.01)).message_bits) >= 1
 
 
 def test_block_reduce_is_injective_on_distinct_sources():

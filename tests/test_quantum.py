@@ -419,7 +419,7 @@ def test_bit_flip_error_rate():
     rng = np.random.default_rng(77)
     trials = 50_000
     reg = QuantumRegistry()
-    pairs = reg.allocate(trials)
+    pairs = reg.allocate(trials).pairs[::2]
     before = reg.measure(ParticleBlock(reg, pairs, 0), "Z", rng)
     reg.apply_noise(ParticleBlock(reg, pairs, 0), NoiseChannel("bit-flip", p), rng)
     flips = int((reg.measure(ParticleBlock(reg, pairs, 0), "Z", rng) != before).sum())
@@ -434,9 +434,9 @@ def test_trajectories_average_to_exact_channel():
     exact = apply_channel(singlet(), channel, 0).matrix
     trials = 60_000
     reg = QuantumRegistry()
-    pairs = reg.allocate(trials)
+    pairs = reg.allocate(trials).pairs[::2]
     reg.apply_noise(ParticleBlock(reg, pairs, 0), channel, rng)
-    counts = np.bincount(reg.bell_measure(pairs, rng), minlength=4)
+    counts = np.bincount(reg.bell_measure(ParticleBlock(reg, pairs, 0), rng), minlength=4)
     for outcome in BellOutcome:
         bell = ORACLE_BELL[outcome]
         born = float((bell.conj() @ exact @ bell).real)
@@ -455,21 +455,21 @@ def test_channel_on_chosen_qubit_of_register():
 def test_registry_singlet_roundtrip():
     rng = np.random.default_rng(31)
     reg = QuantumRegistry()
-    pairs = reg.allocate()
-    assert reg.bell_measure(pairs, rng).tolist() == [BellOutcome.PSI_MINUS]
+    pairs = reg.allocate().pairs[::2]
+    assert reg.bell_measure(ParticleBlock(reg, pairs, 0), rng).tolist() == [BellOutcome.PSI_MINUS]
 
 
 def test_registry_pauli_and_probe():
     rng = np.random.default_rng(32)
     reg = QuantumRegistry()
-    pairs = reg.allocate()
+    pairs = reg.allocate().pairs[::2]
     reg.apply_pauli(ParticleBlock(reg, pairs, 0), x=1, z=0)
-    assert reg.bell_measure(pairs, rng).tolist() == [BellOutcome.PHI_MINUS]
+    assert reg.bell_measure(ParticleBlock(reg, pairs, 0), rng).tolist() == [BellOutcome.PHI_MINUS]
     # a full-strength probe leaves computational bits alone and
     # randomizes conjugate ones
     trials = 4000
     reg2 = QuantumRegistry()
-    pairs2 = reg2.allocate(trials)
+    pairs2 = reg2.allocate(trials).pairs[::2]
     z_bits = reg2.measure(ParticleBlock(reg2, pairs2, 0), "Z", rng)
     x_bits = reg2.measure(ParticleBlock(reg2, pairs2, 1), "X", rng)
     for half in (0, 1):
@@ -482,7 +482,7 @@ def test_registry_pauli_and_probe():
 @pytest.mark.parametrize("call", [
     lambda reg, rng: ParticleBlock(reg, [0.5, 1.99], 0),
     lambda reg, rng: ParticleBlock(reg, [0, 1], [0.0, 1.0]),
-    lambda reg, rng: reg.bell_measure([1.5], rng),
+    lambda reg, rng: reg.bell_measure(ParticleBlock(reg, [1.5], 0), rng),
 ], ids=["particle-block-pairs", "particle-block-halves", "bell-measure"])
 def test_non_integer_particle_indices_are_rejected(call):
     # a float index used to be truncated to a valid pair or half
@@ -491,7 +491,7 @@ def test_non_integer_particle_indices_are_rejected(call):
     with pytest.raises(QuantumValidationError, match="must be integers, got dtype float64"):
         call(reg, np.random.default_rng(0))
     assert len(ParticleBlock(reg, [], 0)) == 0  # an empty list has no dtype to check
-    assert reg.bell_measure([], np.random.default_rng(0)).size == 0
+    assert reg.bell_measure(ParticleBlock(reg, [], 0), np.random.default_rng(0)).size == 0
 
 
 def test_registry_unknown_particle():
@@ -517,17 +517,43 @@ def test_registry_unknown_particle():
         ParticleBlock(reg, [0, 0, 0], [0, 1, 0])  # (0, half 0) twice, mixed halves
     reg.apply_pauli(ParticleBlock(reg, [0, 0], [0, 1]), x=1, z=0)  # X X |singlet>, both halves
     # no rejected call touched the pair, and X on both halves is a phase
-    assert reg.bell_measure([0], np.random.default_rng(0)).tolist() == [BellOutcome.PSI_MINUS]
+    assert reg.bell_measure(ParticleBlock(reg, [0], 0), np.random.default_rng(0)).tolist() == [BellOutcome.PSI_MINUS]
+
+
+def test_allocate_hands_back_its_particles_in_slot_order():
+    reg = QuantumRegistry()
+    assert reg.allocate(3).slots.tolist() == list(range(6))
+    second = reg.allocate(2)
+    assert second.registry is reg and second.slots.tolist() == [6, 7, 8, 9]
+    assert reg.num_pairs == 5
+
+
+def test_bell_measure_takes_one_half_of_each_pair():
+    # either half names its pair; a block holding both halves of a pair, or
+    # halves of both kinds, is refused before any draw or change
+    reg = QuantumRegistry()
+    particles = reg.allocate(3)
+    reg.apply_pauli(particles.take([0]), x=1, z=0)  # pair 0 to PHI_MINUS
+    rng = np.random.default_rng(0)
+    for block in (particles, ParticleBlock(reg, [1, 2], [0, 1])):
+        with pytest.raises(QuantumValidationError, match="one half of each pair"):
+            reg.bell_measure(block, rng)
+    assert rng.random() == np.random.default_rng(0).random()
+    far = particles.take(slice(1, None, 2))  # half 1 of each pair
+    assert reg.bell_measure(far, rng).tolist() == [
+        BellOutcome.PHI_MINUS, BellOutcome.PSI_MINUS, BellOutcome.PSI_MINUS
+    ]
 
 
 def test_duplicate_check_cost_grows_with_the_call_not_the_pair_index():
     # one pair near the end of a large registry: no table over every slot
     reg = QuantumRegistry()
-    last = reg.allocate(3_000_000)[-1]
+    reg.allocate(3_000_000)
+    last = reg.num_pairs - 1
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        outcome = reg.bell_measure([last], rng)
+        outcome = reg.bell_measure(ParticleBlock(reg, [last], 0), rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -547,10 +573,15 @@ def test_duplicate_check_cost_grows_with_the_call_not_the_pair_index():
     st.lists(st.integers(0, 40), max_size=30),
 )
 def test_repeats_agrees_with_a_set(sparse, dense):
-    # sparse values take the sort, dense ones the byte marks
+    # sparse values take the sort, dense ones the byte marks; a caller's
+    # bound on the largest value, tight or loose, gives the same answer
     for values in (sparse, dense, sparse + dense):
-        got = quantum._repeats(np.array(values, dtype=np.intp))
-        assert got == (len(set(values)) < len(values))
+        array = np.array(values, dtype=np.intp)
+        want = len(set(values)) < len(values)
+        assert quantum._repeats(array) == want
+        if values:
+            assert quantum._repeats(array, max(values)) == want
+            assert quantum._repeats(array, 2 * max(values) + 1) == want
 
 
 def _block_ops(reg, rng):
@@ -560,6 +591,7 @@ def _block_ops(reg, rng):
         "apply_noise": lambda b: reg.apply_noise(b, NoiseChannel("bit-flip", 0.0), rng),
         "attach_probe": lambda b: reg.attach_probe(b, ProbeAttackSpec(math.pi / 2), rng),
         "measure": lambda b: reg.measure(b, "X", rng),
+        "bell_measure": lambda b: reg.bell_measure(b, rng),
     }
 
 
@@ -584,7 +616,7 @@ def test_registry_halves_never_alias_a_neighbour(op):
     with pytest.raises(QuantumValidationError, match="halves for"):
         call([0, 1], [0, 1, 0])
     # no rejected call touched either pair
-    assert reg.bell_measure([0, 1], rng).tolist() == [BellOutcome.PSI_MINUS] * 2
+    assert reg.bell_measure(ParticleBlock(reg, [0, 1], 0), rng).tolist() == [BellOutcome.PSI_MINUS] * 2
 
 
 def test_noise_checks_every_particle_even_when_nothing_is_hit():
@@ -618,12 +650,12 @@ def test_registry_rejects_exponents_other_than_0_and_1(x, z, named):
     # on a frame pair and on a product pair; a rejected call changes nothing
     rng = np.random.default_rng(37)
     reg = QuantumRegistry()
-    frame, product = reg.allocate(2)
+    frame, product = reg.allocate(2).pairs[::2]
     before = reg.measure(ParticleBlock(reg, [product], 0), "Z", rng)
     for pair in (frame, product):
         with pytest.raises(QuantumValidationError, match=re.escape(named)):
             reg.apply_pauli(ParticleBlock(reg, [pair], 1), x=x, z=z)
-    assert reg.bell_measure([frame], rng).tolist() == [BellOutcome.PSI_MINUS]
+    assert reg.bell_measure(ParticleBlock(reg, [frame], 0), rng).tolist() == [BellOutcome.PSI_MINUS]
     assert (reg.measure(ParticleBlock(reg, [product], 0), "Z", rng) == before).all()
 
 
@@ -635,10 +667,10 @@ def test_registry_dense_codes_match_exact_encoding():
     bits = np.array(codes)
     for half in (0, 1):
         reg = QuantumRegistry()
-        pairs = reg.allocate(len(codes))
+        pairs = reg.allocate(len(codes)).pairs[::2]
         reg.apply_pauli(ParticleBlock(reg, pairs, half), x=bits[:, 1], z=bits[:, 0])
         exact = [bell_measure(dense_encode(c, singlet(), half), 0, 1, rng)[0] for c in codes]
-        assert reg.bell_measure(pairs, rng).tolist() == exact
+        assert reg.bell_measure(ParticleBlock(reg, pairs, 0), rng).tolist() == exact
 
 
 def test_registry_measure_matches_exact_measurement():
@@ -647,7 +679,7 @@ def test_registry_measure_matches_exact_measurement():
     rng = np.random.default_rng(34)
     trials = 20_000
     reg = QuantumRegistry()
-    pairs = reg.allocate(trials)
+    pairs = reg.allocate(trials).pairs[::2]
     outcomes = reg.measure(ParticleBlock(reg, pairs, 0), "X", rng)
     assert_frequency(int(outcomes.sum()), trials, 0.5, 5.0)
     again = reg.measure(ParticleBlock(reg, pairs, 0), "X", rng)
@@ -661,7 +693,7 @@ def test_registry_collapses_half_0_before_half_1_in_one_call():
     # first, on its own draw, and half 1 then reads the anticorrelated partner
     trials = 1000
     reg = QuantumRegistry()
-    pairs = reg.allocate(trials)
+    pairs = reg.allocate(trials).pairs[::2]
     block = ParticleBlock(reg, np.repeat(pairs, 2), np.tile([1, 0], trials))
     got = reg.measure(block, "Z", np.random.default_rng(36))
     half0 = np.random.default_rng(36).random(2 * trials)[1::2] >= 0.5
@@ -676,9 +708,9 @@ def test_registry_noise_trajectory_frequencies():
     trials = 40_000
     p = 0.4
     reg = QuantumRegistry()
-    pairs = reg.allocate(trials)
+    pairs = reg.allocate(trials).pairs[::2]
     reg.apply_noise(ParticleBlock(reg, pairs, 0), NoiseChannel("depolarizing", p), rng)
-    counts = np.bincount(reg.bell_measure(pairs, rng), minlength=4)
+    counts = np.bincount(reg.bell_measure(ParticleBlock(reg, pairs, 0), rng), minlength=4)
     for outcome in BellOutcome:
         expected = 1.0 - 0.75 * p if outcome == BellOutcome.PSI_MINUS else 0.25 * p
         assert_frequency(int(counts[outcome]), trials, expected, 5.0)
@@ -726,14 +758,14 @@ def test_engine_bell_probabilities_match_exact_oracle(theta, channel):
     weights = np.array([a[0] * b[0] for a, b in branches])
     for code in ((0, 0), (0, 1), (1, 0), (1, 1)):
         reg = QuantumRegistry()
-        pairs = reg.allocate(len(branches))
+        pairs = reg.allocate(len(branches)).pairs[::2]
         reg.apply_pauli(ParticleBlock(reg, pairs, 0), x=code[1], z=code[0])
         for half in (0, 1):  # per half: intercept, then noise
             flips = np.array([branch[half][1] for branch in branches])
             reg.apply_pauli(ParticleBlock(reg, pairs, half), x=0, z=flips)
             xz = np.array([branch[half][2] for branch in branches])
             reg.apply_pauli(ParticleBlock(reg, pairs, half), x=xz[:, 0], z=xz[:, 1])
-        outcomes = reg.bell_measure(pairs, np.random.default_rng(0))
+        outcomes = reg.bell_measure(ParticleBlock(reg, pairs, 0), np.random.default_rng(0))
         engine = np.bincount(outcomes, weights=weights, minlength=4)
         np.testing.assert_allclose(
             engine, _exact_bell_probabilities(code, theta, channel), rtol=0.0, atol=1e-12
@@ -817,7 +849,7 @@ def _registry_holding(codes):
     x = np.where(product, correlated & (bases[:, 0] == 0), codes >> 1).astype(int)
     z = np.where(product, correlated & (bases[:, 0] == 1), codes & 1).astype(int)
     reg = QuantumRegistry()
-    pairs = reg.allocate(codes.size)
+    pairs = reg.allocate(codes.size).pairs[::2]
     reg.apply_pauli(ParticleBlock(reg, pairs, 0), x=x, z=z)
     measured = np.flatnonzero(product)
     block = ParticleBlock(reg, (2 * measured[:, None] + [0, 1]).ravel())
@@ -839,7 +871,7 @@ def test_bell_quarter_lookup_matches_the_cumulative_rule(extra, data):
         st.one_of(uniform, st.sampled_from(_EDGE_DRAWS)), min_size=codes.size, max_size=codes.size
     ))
     reg = _registry_holding(codes)
-    outcomes = reg.bell_measure(order, _FixedDraws(*draws))
+    outcomes = reg.bell_measure(ParticleBlock(reg, order, 0), _FixedDraws(*draws))
     want, left = reference_bell_rule(codes[order], draws)
     assert outcomes.tolist() == want.tolist()
     assert reg._code[order].tolist() == left.tolist()
@@ -902,14 +934,19 @@ def test_registry_matches_reference_in_lockstep(seed):
         else:
             name, args = "bell_measure", (script.permutation(n)[: script.integers(1, n + 1)],)
         draws = name not in ("allocate", "apply_pauli")  # these take no generator
-        # the engine takes the particles as one block, the reference as (pairs, halves)
+        # the engine takes the particles as one block, the reference as
+        # (pairs, halves); a Bell measurement takes either half of each pair
         engine_args = args
-        if name not in ("allocate", "bell_measure"):
+        if name == "bell_measure":
+            engine_args = (ParticleBlock(engines[0], args[0], int(script.integers(2))),)
+        elif name != "allocate":
             engine_args = (ParticleBlock(engines[0], *args[:2]), *args[2:])
         got, want = (
             getattr(reg, name)(*a, *[rng][:draws])
             for reg, a, rng in zip(engines, (engine_args, args), rngs)
         )
+        if name == "allocate":  # the engine returns the new particles, the reference their pairs
+            got = got.pairs[::2]
         assert np.array_equal(got, want) if want is not None else got is None
         assert engines[0]._code.tolist() == _reference_codes(engines[1]).tolist()
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
@@ -942,8 +979,10 @@ def test_noise_branch_edges(engine, channel, paulis):
     edges = {*cumulative, *np.nextafter(cumulative, 0), 1 - 2**-53}
     draws = sorted(float(d) for d in edges if 0 <= d < 1)
     reg = engine()
-    pairs = reg.allocate(len(draws))
+    pairs = np.arange(len(draws))
+    reg.allocate(pairs.size)
     particles = (ParticleBlock(reg, pairs, 0),) if engine is QuantumRegistry else (pairs, 0)
     reg.apply_noise(*particles, channel, _FixedDraws(*draws))
-    outcomes = reg.bell_measure(pairs, np.random.default_rng(0)).tolist()
+    measured = particles[0]  # half 0 of each pair as a block, or the reference's pairs
+    outcomes = reg.bell_measure(measured, np.random.default_rng(0)).tolist()
     assert outcomes == [_SINGLET_OUTCOME[p] for p in paulis]

@@ -263,7 +263,7 @@ def test_noise_requires_rng_and_quantum_carriers():
 
 def test_full_strength_bit_flip_in_transit():
     reg = QuantumRegistry()
-    pairs = reg.allocate()
+    pairs = reg.allocate().pairs[::2]
     channel = Channel(
         noise=NoiseChannel("bit-flip", 1.0), noise_rng=np.random.default_rng(0)
     )
